@@ -157,20 +157,7 @@ class CausalNetwork:
         if cycle:
             raise UnionCycleError(cycle)
 
-        star: dict[EventId, frozenset[EventId]] = {}
-
-        def close(e: EventId) -> frozenset[EventId]:
-            got = star.get(e)
-            if got is None:
-                acc = {e}
-                for p in self._parents[e]:
-                    acc |= close(p)
-                got = star[e] = frozenset(acc)
-            return got
-
-        for node in events:
-            close(node.id)
-        self._isa_star = star
+        self._isa_star: dict[EventId, frozenset[EventId]] = {}
         self.top = TOP_NAME if TOP_NAME in nodes else None
 
     # -- lookups -------------------------------------------------------
@@ -208,10 +195,21 @@ class CausalNetwork:
 
     def isa_star(self, e: EventId) -> frozenset[EventId]:
         """All events reachable from e by zero or more isa steps."""
-        try:
-            return self._isa_star[e]
-        except KeyError:
-            raise UnknownEventError(f"unknown event: {e}") from None
+        # Computed on first use: the closures of an n-event isa chain hold
+        # n^2/2 members in all, too many to build for every event up front.
+        got = self._isa_star.get(e)
+        if got is None:
+            if e not in self._nodes:
+                raise UnknownEventError(f"unknown event: {e}")
+            seen = {e}
+            todo = [e]
+            while todo:
+                for p in self._parents[todo.pop()]:
+                    if p not in seen:
+                        seen.add(p)
+                        todo.append(p)
+            got = self._isa_star[e] = frozenset(seen)
+        return got
 
     def specializes(self, child: EventId, parent: EventId) -> bool:
         return parent in self.isa_star(child)
@@ -242,27 +240,24 @@ def _find_cycle(adj: dict[str, object]) -> list[str] | None:
     """Return one directed cycle of adj as a node list, or None."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in adj}
-    stack: list[str] = []
-
-    def visit(v: str) -> list[str] | None:
-        color[v] = GRAY
-        stack.append(v)
-        for w in adj.get(v, ()):
-            if color[w] == GRAY:
-                return stack[stack.index(w):]
-            if color[w] == WHITE:
-                got = visit(w)
-                if got:
-                    return got
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in sorted(adj):
-        if color[v] == WHITE:
-            got = visit(v)
-            if got:
-                return got
+    for start in sorted(adj):
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        path = [start]
+        pending = [iter(adj.get(start, ()))]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == GRAY:
+                    return path[path.index(w):]
+                if color[w] == WHITE:
+                    color[w] = GRAY
+                    path.append(w)
+                    pending.append(iter(adj.get(w, ())))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

@@ -9,6 +9,12 @@ Lawler partitioning (re-solving with forced/forbidden edge sets), and each
 candidate tree is kept only if its scenario passes the canonical validity
 check.
 
+Lawler children are solved lazily: each one waits on the heap under a lower
+bound on its weight and is solved only when that bound reaches the top, so
+a query that stops early never solves the children bounded above the tree
+it stopped at.  Extension children that would give a node two parents are
+never created.
+
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
 are never touched.
@@ -58,7 +64,7 @@ class GraphEdge:
 class WeightedSearchGraph:
     """Immutable weighted digraph over event ids."""
 
-    __slots__ = ("nodes", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges")
+    __slots__ = ("nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges")
 
     def __init__(
         self,
@@ -67,6 +73,7 @@ class WeightedSearchGraph:
         node_weight: dict[str, float],
     ):
         self.nodes = tuple(sorted(nodes))
+        self.node_set = frozenset(self.nodes)
         self.edges = tuple(sorted(edges, key=lambda e: (e.src, e.dst)))
         self.node_weight = dict(node_weight)
         self.edge_by_key = {e.key: e for e in self.edges}
@@ -155,12 +162,6 @@ class _Problem:
         self.forced_weight = sum(e.weight for e in forced_edges)
         self.terminals = terminals
         self.root = root
-
-
-def _edge_key(e) -> EdgeKey:
-    if isinstance(e, GraphEdge):
-        return e.key
-    return (e[0], e[1])
 
 
 def _build_problem(
@@ -283,20 +284,20 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
 
 
 def _trace(table: DPTable, node: str, mask: int, acc: set[GraphEdge]) -> None:
-    entry = table.entries.get((node, mask))
-    if entry is None:
-        raise MalformedTreeError("internal: missing DP backpointer")
-    back = entry[1]
-    if back[0] == "base":
-        return
-    if back[0] == "merge":
-        s1 = back[1]
-        _trace(table, node, s1, acc)
-        _trace(table, node, mask ^ s1, acc)
-        return
-    _, nxt, edge = back
-    acc.add(edge)
-    _trace(table, nxt, mask, acc)
+    todo = [(node, mask)]
+    while todo:
+        node, mask = todo.pop()
+        entry = table.entries.get((node, mask))
+        if entry is None:
+            raise MalformedTreeError("internal: missing DP backpointer")
+        back = entry[1]
+        if back[0] == "merge":
+            todo.append((node, back[1]))
+            todo.append((node, mask ^ back[1]))
+        elif back[0] == "edge":
+            _, nxt, edge = back
+            acc.add(edge)
+            todo.append((nxt, mask))
 
 
 def _canonicalize(root: str, edges: Iterable[GraphEdge], terminals: Iterable[str]) -> tuple[tuple[GraphEdge, ...], float]:
@@ -342,25 +343,25 @@ def steiner_dp(
     g: WeightedSearchGraph,
     root: str,
     terminals: Iterable[str],
-    forced: Iterable = (),
-    forbidden: Iterable = (),
+    forced: Iterable[EdgeKey] = (),
+    forbidden: Iterable[EdgeKey] = (),
 ) -> tuple[SteinerTree | None, DPTable]:
     """Minimum arborescence rooted at root covering the terminals.
 
     ``forced`` edges must appear in the tree (realized by contracting them),
-    ``forbidden`` edges must not.  Returns (None, table) when no tree exists.
+    ``forbidden`` edges must not; both are given as ``(src, dst)`` keys.
+    Returns (None, table) when no tree exists.
     """
     terms = tuple(sorted(set(terminals)))
-    node_set = frozenset(g.nodes)
-    if root not in node_set:
+    if root not in g.node_set:
         raise UnknownEventError(f"unknown event: {root}")
     for t in terms:
-        if t not in node_set:
+        if t not in g.node_set:
             raise UnknownEventError(f"unknown event: {t}")
     if len(terms) > MAX_TERMINALS:
         raise TooManyTerminalsError(f"{len(terms)} terminals exceed {MAX_TERMINALS}")
-    forced_keys = frozenset(_edge_key(e) for e in forced)
-    forbidden_keys = frozenset(_edge_key(e) for e in forbidden)
+    forced_keys = frozenset((s, d) for s, d in forced)
+    forbidden_keys = frozenset((s, d) for s, d in forbidden)
     for k in sorted(forced_keys):
         if k not in g.edge_by_key:
             raise InconsistentConstraintsError(f"forced edge {k[0]}->{k[1]} not in graph")
@@ -406,22 +407,6 @@ def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
     return Scenario.make(tree.root, causations)
 
 
-def _bfs_edge_order(tree: SteinerTree) -> list[GraphEdge]:
-    out: dict[str, list[GraphEdge]] = {}
-    for e in tree.edges:
-        out.setdefault(e.src, []).append(e)
-    for es in out.values():
-        es.sort(key=lambda e: e.dst)
-    order: list[GraphEdge] = []
-    queue = [tree.root]
-    while queue:
-        v = queue.pop(0)
-        for e in out.get(v, ()):
-            order.append(e)
-            queue.append(e.dst)
-    return order
-
-
 class _CandidateStream:
     """Best-first Lawler enumeration of candidate trees over several roots.
 
@@ -432,6 +417,18 @@ class _CandidateStream:
     edge, earlier-ordered extension edges forbidden).  The second kind makes
     the stream cover non-minimal candidates, whose extra branches explain
     nothing but are still legitimate scenarios.
+
+    A child enters the heap unsolved, keyed ``(lb, -1)`` where ``lb`` bounds
+    its weight from below: the parent's weight for an exclusion child, plus
+    the forced edge's weight for an extension child, both less
+    ``WEIGHT_TIE_TOL`` so that float rounding never lets a tree overtake a
+    child that could tie with it.  ``-1`` sorts before every tree key
+    ``(w, len(edges), keys, root)``, so a child is solved (and its tree
+    pushed under its real key) before any tree it could precede, and the
+    yield order is that of solving every child eagerly.  An extension edge
+    whose head is already in the tree would give that node two parents, so
+    its child is never created; the edge is still forbidden to later
+    extension children, which keeps their constraint sets unchanged.
     """
 
     def __init__(
@@ -497,6 +494,9 @@ class _CandidateStream:
         key = (w, len(tree.edges), tuple(e.key for e in tree.edges), root)
         heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
 
+    def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset) -> None:
+        heapq.heappush(self._heap, ((lb, -1), next(self._counter), root, forced, forbidden, None))
+
     def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset) -> None:
         child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
         if self.stats is not None:
@@ -507,26 +507,29 @@ class _CandidateStream:
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
+            if tree is None:
+                self._solve_child(root, forced, forbidden)
+                continue
             yield key[0], root, tree
 
+            lb = key[0] - WEIGHT_TIE_TOL
             prefix = set(forced)
-            for e in _bfs_edge_order(tree):
+            for e in tree.edges:
                 if e.key in forced:
                     continue
-                self._solve_child(root, frozenset(prefix), forbidden | {e.key})
+                self._defer(lb, root, frozenset(prefix), forbidden | {e.key})
                 prefix.add(e.key)
 
             tree_keys = frozenset(e.key for e in tree.edges)
+            heads = {root} | {e.dst for e in tree.edges}
             reach = self._descendants(root)
             sup_forbidden = set(forbidden)
             for f in self._causal_keys:
-                if f in tree_keys or f in sup_forbidden:
+                if f in tree_keys or f in sup_forbidden or f[0] not in reach:
                     continue
-                if f[0] not in reach:
-                    continue
-                self._solve_child(
-                    root, tree_keys | {f}, frozenset(sup_forbidden)
-                )
+                if f[1] not in heads:
+                    f_lb = lb + self.g.edge_by_key[f].weight
+                    self._defer(f_lb, root, tree_keys | {f}, frozenset(sup_forbidden))
                 sup_forbidden.add(f)
 
 

@@ -14,6 +14,7 @@ from abducer import (
     RecognitionQuery,
     Scenario,
     SolveStats,
+    add_top,
     best_explanations_bruteforce,
     build_search_graph,
     enumerate_valid_scenarios,
@@ -120,6 +121,37 @@ def test_oracle_solver_equivalence():
         failures.append(f"only {compared} networks compared, need 200")
 
     _finish(f"oracle-solver equivalence ({compared} networks)", failures, started, 60.0)
+
+
+def test_oracle_solver_equivalence_deep_k():
+    # k=10 ranks reach far past the first tree, where lazily solved Lawler
+    # children and the never-built two-parent children decide the order
+    started = time.perf_counter()
+    failures = []
+    compared = 0
+    for seed in range(1000, 1060):
+        rng = random.Random(seed)
+        net = random_network(rng, max_events=9, max_causal=10, max_isa=5)
+        obs = random_observations(rng, net)
+        if not obs:
+            continue
+        for multi in (False, True):
+            got = explain(net, obs, k=10, multi=multi)
+            if multi:
+                want = best_explanations_bruteforce(add_top(net), obs, 10, culprit=TOP_NAME)
+            else:
+                want = best_explanations_bruteforce(net, obs, 10)
+            if [r.scenario for r in got] != [r.scenario for r in want]:
+                failures.append(f"seed {seed}, multi={multi}: scenario lists differ")
+                continue
+            for g_, w_ in zip(got, want):
+                if abs(g_.log_weight - w_.log_weight) > 1e-9:
+                    failures.append(f"seed {seed}, multi={multi}: weight gap {g_.log_weight - w_.log_weight}")
+        compared += 1
+    if compared < 50:
+        failures.append(f"only {compared} networks compared, need 50")
+
+    _finish(f"oracle-solver equivalence at k=10 ({compared} networks)", failures, started, 15.0)
 
 
 def test_relaxation_budget():

@@ -279,3 +279,27 @@ class TestExportDot:
         code, _, err = run("export-dot", fig2_path, "--out", tmp_path / "no" / "dir.dot")
         assert code == 3
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["cause", "isa"])
+class TestLongChain:
+    @pytest.fixture()
+    def chain_path(self, tmp_path, chain_texts, kind):
+        p = tmp_path / f"{kind}_chain.cnet"
+        p.write_text(chain_texts[kind])
+        return p
+
+    def test_validate(self, run, chain_path, kind):
+        code, out, err = run("validate", chain_path)
+        assert code == 0
+        links = "9999 causal, 0 isa" if kind == "cause" else "0 causal, 9999 isa"
+        assert out == f"OK: 10000 events, {links}\n"
+        assert err == ""
+
+    def test_export_dot(self, run, chain_path, kind):
+        code, out, err = run("export-dot", chain_path)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2 + 10_000 + 9_999 + 1
+        assert lines[-1] == "}"
+        assert err == ""

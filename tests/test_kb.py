@@ -154,6 +154,29 @@ class TestValidation:
             net_of("event a\nevent b\nisa a b\ncause b a p=0.5\n")
 
 
+class TestLongChains:
+    """Deep inputs must not hit the interpreter's recursion limit."""
+
+    def test_causal_chain(self, chain_texts):
+        net = parse_network(chain_texts["cause"])
+        assert (len(net.events), len(net.causal), len(net.isa)) == (10_000, 9_999, 0)
+        assert net.isa_star("e0") == frozenset({"e0"})
+
+    def test_isa_chain(self, chain_texts):
+        net = parse_network(chain_texts["isa"])
+        assert (len(net.events), len(net.causal), len(net.isa)) == (10_000, 0, 9_999)
+        assert len(net.isa_star("e0")) == 10_000
+        assert net.isa_star("e9999") == frozenset({"e9999"})
+
+    def test_cycle_through_a_long_chain(self, chain_texts):
+        with pytest.raises(UnionCycleError) as err:
+            parse_network(chain_texts["cause"] + "cause e9999 e0 p=0.5\n")
+        assert len(err.value.cycle) == 10_000
+        with pytest.raises(IsaCycleError) as err:
+            parse_network(chain_texts["isa"] + "isa e9999 e0\n")
+        assert len(err.value.cycle) == 10_000
+
+
 class TestSerialization:
     def test_round_trip_fig2(self, fig2):
         assert parse_network(serialize_network(fig2)) == fig2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,12 @@ from abducer import (
 from abducer.kb import TOP_NAME
 from abducer.scenario import log_weight
 from abducer.solver import _CandidateStream, best_valid_tree
-from abducer.synth import complexity_network, two_disorder_network
+from abducer.synth import (
+    complexity_network,
+    random_network,
+    random_observations,
+    two_disorder_network,
+)
 
 from strategies import networks_with_observations, tiny_networks
 
@@ -110,6 +116,13 @@ class TestSteinerDp:
             steiner_dp(g, "zz", ["e"])
         with pytest.raises(UnknownEventError):
             steiner_dp(g, "f", ["zz"])
+
+    def test_long_chain_traces_without_recursion(self, chain_texts):
+        g = build_search_graph(parse_network(chain_texts["cause"]))
+        tree, _ = steiner_dp(g, "e0", ["e9999"])
+        assert tree is not None
+        assert len(tree.edges) == 9_999
+        assert tree.total_weight == pytest.approx(9_999 * math.log(1 / 0.9))
 
 
 class TestConstraints:
@@ -261,6 +274,63 @@ class TestTreeToScenario:
             tree_to_scenario(fig2, bad)
 
 
+# Stream sequences as (weight to 12 places, root, edges in tree order).
+# They are the order that solving every Lawler child at once produces;
+# solving children lazily must keep it exactly.
+FIG2_EG_STREAM = [
+    (4.2405270724, "f", "f>a f>g a>e"),
+    (4.605170185988, "d", "d>b d>g b>e"),
+    (4.89285225844, "d", "d>b d>g b>a a>e"),
+]
+# random_network(Random(0), 7, 9, 4) through TOP; obs ["n3", "n4"]
+MULTI_SEED0_STREAM = [
+    (2.73916849611, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n4 n2>n3"),
+    (2.943212554974, "TOP", "TOP>n0 n0>n1 n1>n3 n1>n4"),
+    (2.943212554974, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n3 n1>n4"),
+    (3.118008671275, "TOP", "TOP>n0 TOP>n2 n0>n1 n2>n3 n1>n4"),
+    (3.322052730139, "TOP", "TOP>n0 TOP>n2 n0>n1 n1>n3 n1>n4"),
+    (3.330061821685, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n4 n2>n3 n2>n5"),
+    (3.534105880549, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n3 n1>n4 n2>n5"),
+    (3.70890199685, "TOP", "TOP>n0 TOP>n2 n0>n1 n2>n3 n2>n5 n1>n4"),
+    (3.797087607948, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n4 n2>n3 n3>n5"),
+    (3.912946055714, "TOP", "TOP>n0 TOP>n2 n0>n1 n2>n5 n1>n3 n1>n4"),
+    (4.001131666812, "TOP", "TOP>n0 n0>n1 n1>n3 n1>n4 n3>n5"),
+    (4.001131666812, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n3 n1>n4 n3>n5"),
+    (4.175927783114, "TOP", "TOP>n0 TOP>n2 n0>n1 n2>n3 n1>n4 n3>n5"),
+    (4.379971841977, "TOP", "TOP>n0 TOP>n2 n0>n1 n1>n3 n1>n4 n3>n5"),
+    (4.441460672948, "TOP", "TOP>n0 n0>n1 n0>n5 n1>n2 n1>n4 n2>n3"),
+    (4.645504731812, "TOP", "TOP>n0 n0>n1 n0>n5 n1>n3 n1>n4"),
+    (4.645504731812, "TOP", "TOP>n0 n0>n1 n0>n5 n1>n2 n1>n3 n1>n4"),
+    (4.713263048832, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n4 n1>n5 n2>n3"),
+    (4.820300848113, "TOP", "TOP>n0 TOP>n2 n0>n1 n0>n5 n2>n3 n1>n4"),
+    (4.917307107696, "TOP", "TOP>n0 n0>n1 n1>n3 n1>n4 n1>n5"),
+    (4.917307107696, "TOP", "TOP>n0 n0>n1 n1>n2 n1>n3 n1>n4 n1>n5"),
+    (5.024344906977, "TOP", "TOP>n0 TOP>n2 n0>n1 n0>n5 n1>n3 n1>n4"),
+    (5.092103223998, "TOP", "TOP>n0 TOP>n2 n0>n1 n2>n3 n1>n4 n1>n5"),
+    (5.296147282861, "TOP", "TOP>n0 TOP>n2 n0>n1 n1>n3 n1>n4 n1>n5"),
+]
+# random_network(Random(12), 7, 9, 4) through TOP; obs ["n3"]
+MULTI_SEED12_STREAM = [
+    (0.738126829504, "TOP", "TOP>n0 n0>n3"),
+    (1.545452595914, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n4 n4>n5"),
+    (2.367560378095, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2"),
+    (2.448642689567, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n5"),
+    (2.805772395155, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2 n2>n4"),
+    (3.174886144505, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2 n1>n4 n4>n5"),
+    (3.613098161565, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2 n2>n4 n4>n5"),
+    (4.078076238158, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2 n1>n5"),
+    (4.516288255218, "TOP", "TOP>n0 n0>n1 n0>n3 n1>n2 n1>n5 n2>n4"),
+]
+
+
+def _stream_items(g, roots, terminals, limit=None):
+    stream = itertools.islice(_CandidateStream(g, roots, terminals), limit)
+    return [
+        (round(w, 12), root, " ".join(f"{e.src}>{e.dst}" for e in tree.edges))
+        for w, root, tree in stream
+    ]
+
+
 class TestCandidateStream:
     def test_weights_non_decreasing(self, fig2):
         g = build_search_graph(fig2)
@@ -288,6 +358,35 @@ class TestCandidateStream:
         for w, root, tree in _CandidateStream(g, ["c", "d", "f"], ["e"]):
             s = tree_to_scenario(fig2, tree)
             assert w == pytest.approx(log_weight(fig2, s), abs=1e-9)
+
+    def test_fig2_sequence_pinned(self, fig2):
+        g = build_search_graph(fig2)
+        assert _stream_items(g, ["c", "d", "f"], ["e", "g"], 40) == FIG2_EG_STREAM
+
+    @pytest.mark.parametrize(
+        "seed, want", [(0, MULTI_SEED0_STREAM), (12, MULTI_SEED12_STREAM)]
+    )
+    def test_random_multi_sequence_pinned(self, seed, want):
+        rng = random.Random(seed)
+        net = random_network(rng, max_events=7, max_causal=9, max_isa=4)
+        obs = random_observations(rng, net)
+        g = build_search_graph(add_top(net))
+        assert _stream_items(g, [TOP_NAME], obs) == want
+
+    def test_children_past_the_stop_point_are_never_solved(self):
+        # d->o is the best tree and d->x0->o the next, past the k=1 stop.
+        # Forcing d->x_i bounds an extension child above d->x0->o, so it is
+        # never solved; forcing x_i->o would give o a second parent, so that
+        # child is never built.  Only the base DP and the exclusion child of
+        # d->o (which finds d->x0->o) run.
+        text = "event d prior=0.5 disorder\nevent o\ncause d o p=0.9\n"
+        for i in range(10):
+            text += f"event x{i}\ncause d x{i} p=0.5\ncause x{i} o p=0.95\n"
+        net = parse_network(text)
+        stats = SolveStats()
+        got = explain(net, ["o"], k=1, stats=stats)
+        assert [r.scenario for r in got] == [Scenario.make("d", [("d", "o")])]
+        assert stats.dp_runs == 2
 
 
 class TestExplain:
