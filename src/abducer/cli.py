@@ -2,7 +2,8 @@
 
 Subcommands: validate, explain, recognize, export-dot.  Exit codes are
 uniform across commands: 0 success with results, 1 success but nothing
-found, 2 bad input (parse or query errors), 3 I/O trouble.
+found, 2 bad input (parse or query errors), 3 I/O trouble, 4 internal
+error (a bug: any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AbducerError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

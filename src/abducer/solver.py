@@ -13,7 +13,10 @@ Lawler children are solved lazily: each one waits on the heap under a lower
 bound on its weight and is solved only when that bound reaches the top, so
 a query that stops early never solves the children bounded above the tree
 it stopped at.  Extension children that would give a node two parents are
-never created.
+never created, and an extension child whose forced edge leaves the parent
+tree needs no DP: its optimum is the parent tree plus that edge.  A child's
+DP filters the graph's per-node in-edge lists as it reaches each node
+instead of rebuilding the whole adjacency.
 
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
@@ -62,7 +65,11 @@ class GraphEdge:
 
 
 class WeightedSearchGraph:
-    """Immutable weighted digraph over event ids."""
+    """Immutable weighted digraph over event ids.
+
+    ``in_edges`` lists each node's in-edges lightest first, ties broken by
+    source; ``out_edges`` lists each node's out-edges by head.
+    """
 
     __slots__ = ("nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges")
 
@@ -82,7 +89,9 @@ class WeightedSearchGraph:
         for e in self.edges:
             ins.setdefault(e.dst, []).append(e)
             outs.setdefault(e.src, []).append(e)
-        self.in_edges = {v: tuple(es) for v, es in ins.items()}
+        self.in_edges = {
+            v: tuple(sorted(es, key=lambda e: (e.weight, e.src))) for v, es in ins.items()
+        }
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
 
 def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
@@ -112,9 +121,12 @@ class SteinerTree:
 
 @dataclass
 class DPTable:
-    """Lazily allocated map (node, terminal bitmask) -> (weight, backpointer)."""
+    """Lazily allocated map (node, terminal bitmask) -> backpointer.
 
-    entries: dict[tuple[str, int], tuple[float, tuple]] = field(default_factory=dict)
+    The weights live in the per-mask distance dicts the DP returns.
+    """
+
+    entries: dict[tuple[str, int], tuple] = field(default_factory=dict)
     relaxations: int = 0
 
     @property
@@ -142,26 +154,38 @@ class SolveStats:
 
 
 class _Problem:
-    """A steiner instance after forbidding/contraction preprocessing."""
+    """A steiner instance after forbidding/contraction preprocessing.
 
-    __slots__ = (
-        "in_adj",
-        "term_nodes",
-        "super_of",
-        "forced_edges",
-        "forced_weight",
-        "terminals",
-        "root",
-    )
+    Each forced chain is contracted into its top: ``super_of`` maps the
+    chain's other members to it, and every other node is its own super
+    node.  A super node's in-edges are filtered from the graph's on first
+    use: forbidden edges and edges from its own component are dropped, and
+    only the first (lightest) edge from each super source is kept.
+    """
 
-    def __init__(self, in_adj, term_nodes, super_of, forced_edges, terminals, root):
-        self.in_adj = in_adj
-        self.term_nodes = term_nodes
+    __slots__ = ("g", "forbidden", "super_of", "term_nodes", "forced_edges", "terminals", "in_adj")
+
+    def __init__(self, g, forbidden, super_of, term_nodes, forced_edges, terminals):
+        self.g = g
+        self.forbidden = forbidden
         self.super_of = super_of
+        self.term_nodes = term_nodes
         self.forced_edges = forced_edges
-        self.forced_weight = sum(e.weight for e in forced_edges)
         self.terminals = terminals
-        self.root = root
+        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
+
+    def in_edges(self, v: str) -> list[tuple[float, str, GraphEdge]]:
+        """(weight, super source, edge) for the edges into super node v."""
+        adj = self.in_adj.get(v)
+        if adj is None:
+            adj = self.in_adj[v] = []
+            seen = {v}
+            for e in self.g.in_edges.get(v, ()):
+                su = self.super_of.get(e.src, e.src)
+                if su not in seen and (e.src, v) not in self.forbidden:
+                    seen.add(su)
+                    adj.append((e.weight, su, e))
+        return adj
 
 
 def _build_problem(
@@ -180,6 +204,7 @@ def _build_problem(
         head_of[e.dst] = e
     if root in head_of:
         return None
+    super_of: dict[str, str] = {}
     for v in head_of:
         seen = {v}
         u = v
@@ -188,47 +213,12 @@ def _build_problem(
             if u in seen:
                 return None
             seen.add(u)
-
-    comp_top: dict[str, str] = {}
-
-    def top_of(v: str) -> str:
-        path = []
-        while v in head_of and v not in comp_top:
-            path.append(v)
-            v = head_of[v].src
-        t = comp_top.get(v, v)
-        for p in path:
-            comp_top[p] = t
-        return t
-
-    super_of = {v: top_of(v) for v in g.nodes}
-
-    in_adj: dict[str, dict[str, GraphEdge]] = {}
-    for e in g.edges:
-        k = e.key
-        if k in forbidden_keys or k in forced_keys:
-            continue
-        if e.dst in head_of:
-            continue
-        su, sv = super_of[e.src], super_of[e.dst]
-        if su == sv:
-            continue
-        slot = in_adj.setdefault(sv, {})
-        old = slot.get(su)
-        if old is None or (e.weight, e.key) < (old.weight, old.key):
-            slot[su] = e
-
-    adj = {
-        v: tuple(sorted(slot.values(), key=lambda e: (e.weight, e.key)))
-        for v, slot in in_adj.items()
-    }
+        super_of[v] = u
 
     # The root's own bit costs nothing (its base entry is zero), so terminal
     # nodes are kept root-agnostic and one DP table can serve every root.
-    term_nodes = {super_of[t] for t in terminals}
-    for e in forced_edges:
-        term_nodes.add(super_of[e.dst])
-    return _Problem(adj, tuple(sorted(term_nodes)), super_of, forced_edges, terminals, root)
+    term_nodes = {super_of.get(t, t) for t in terminals} | set(super_of.values())
+    return _Problem(g, forbidden_keys, super_of, tuple(sorted(term_nodes)), forced_edges, terminals)
 
 
 def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
@@ -238,14 +228,16 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
     full = (1 << nt) - 1
     by_mask: list[dict[str, float]] = [dict() for _ in range(full + 1)]
     backs = table.entries
-    in_adj = problem.in_adj
+    in_adj, in_edges = problem.in_adj, problem.in_edges
+    inf = math.inf
+    relaxations = 0
 
     for mask in range(1, full + 1):
         dist = by_mask[mask]
         if mask & (mask - 1) == 0:
             t = terms[mask.bit_length() - 1]
             dist[t] = 0.0
-            backs[(t, mask)] = (0.0, ("base",))
+            backs[(t, mask)] = ("base",)
         else:
             low = mask & -mask
             s1 = (mask - 1) & mask
@@ -253,15 +245,15 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
                 if s1 & low:
                     s2 = mask ^ s1
                     d1, d2 = by_mask[s1], by_mask[s2]
+                    relaxations += len(d1)
                     for v, w1 in d1.items():
-                        table.relaxations += 1
                         w2 = d2.get(v)
                         if w2 is None:
                             continue
                         cand = w1 + w2
-                        if cand < dist.get(v, math.inf):
+                        if cand < dist.get(v, inf):
                             dist[v] = cand
-                            backs[(v, mask)] = (cand, ("merge", s1))
+                            backs[(v, mask)] = ("merge", s1)
                 s1 = (s1 - 1) & mask
 
         heap = [(w, v) for v, w in dist.items()]
@@ -269,17 +261,20 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
         settled: set[str] = set()
         while heap:
             d, v = heapq.heappop(heap)
-            if v in settled or d > dist.get(v, math.inf):
+            if v in settled or d > dist[v]:
                 continue
             settled.add(v)
-            for e in in_adj.get(v, ()):
-                table.relaxations += 1
-                nd = d + e.weight
-                u = problem.super_of[e.src]
-                if nd < dist.get(u, math.inf):
+            es = in_adj.get(v)
+            if es is None:
+                es = in_edges(v)
+            relaxations += len(es)
+            for w, u, e in es:
+                nd = d + w
+                if nd < dist.get(u, inf):
                     dist[u] = nd
-                    backs[(u, mask)] = (nd, ("edge", v, e))
+                    backs[(u, mask)] = ("edge", v, e)
                     heapq.heappush(heap, (nd, u))
+    table.relaxations += relaxations
     return by_mask
 
 
@@ -287,10 +282,9 @@ def _trace(table: DPTable, node: str, mask: int, acc: set[GraphEdge]) -> None:
     todo = [(node, mask)]
     while todo:
         node, mask = todo.pop()
-        entry = table.entries.get((node, mask))
-        if entry is None:
+        back = table.entries.get((node, mask))
+        if back is None:
             raise MalformedTreeError("internal: missing DP backpointer")
-        back = entry[1]
         if back[0] == "merge":
             todo.append((node, back[1]))
             todo.append((node, mask ^ back[1]))
@@ -326,17 +320,18 @@ def _canonicalize(root: str, edges: Iterable[GraphEdge], terminals: Iterable[str
     return tuple(chosen), weight
 
 
-def _extract(problem: _Problem, by_mask: list[dict[str, float]], table: DPTable) -> SteinerTree | None:
-    nt = len(problem.term_nodes)
-    full = (1 << nt) - 1
-    sroot = problem.super_of[problem.root]
+def _extract(
+    problem: _Problem, by_mask: list[dict[str, float]], table: DPTable, root: str
+) -> SteinerTree | None:
+    # A root is never the head of a forced edge, so it is its own super node.
+    full = (1 << len(problem.term_nodes)) - 1
     acc: set[GraphEdge] = set(problem.forced_edges)
     if full:
-        if sroot not in by_mask[full]:
+        if root not in by_mask[full]:
             return None
-        _trace(table, sroot, full, acc)
-    edges, weight = _canonicalize(problem.root, acc, problem.terminals)
-    return SteinerTree(problem.root, edges, frozenset(problem.terminals), weight)
+        _trace(table, root, full, acc)
+    edges, weight = _canonicalize(root, acc, problem.terminals)
+    return SteinerTree(root, edges, frozenset(problem.terminals), weight)
 
 
 def steiner_dp(
@@ -374,7 +369,7 @@ def steiner_dp(
         return None, table
     by_mask = _run_dp(problem, table)
     try:
-        tree = _extract(problem, by_mask, table)
+        tree = _extract(problem, by_mask, table, root)
     except MalformedTreeError:
         return None, table
     return tree, table
@@ -429,6 +424,15 @@ class _CandidateStream:
     whose head is already in the tree would give that node two parents, so
     its child is never created; the edge is still forbidden to later
     extension children, which keeps their constraint sets unchanged.
+
+    An extension edge f that leaves the tree T (source in T, head not)
+    needs no DP: T already covers the terminals, T + f is an arborescence
+    that avoids the child's forbidden edges, and every tree holding the
+    forced T + f weighs at least that.  Such a child is deferred like any
+    other and, when popped, built by ``_canonicalize`` from T + f, the
+    function the DP's extraction ends in; since the DP would trace no edge
+    beyond the forced ones, edge order and weight bits are the DP's.  No
+    DP runs for it, so it adds nothing to the stats.
     """
 
     def __init__(
@@ -448,25 +452,13 @@ class _CandidateStream:
         )
         self._desc_cache: dict[str, frozenset[str]] = {}
         base_table = DPTable()
-        base_problem = _build_problem(
-            g, next(iter(g.nodes)), self.terminals, frozenset(), frozenset()
-        )
-        by_mask = _run_dp(base_problem, base_table) if base_problem else None
+        base_problem = _Problem(g, frozenset(), {}, self.terminals, (), self.terminals)
+        by_mask = _run_dp(base_problem, base_table)
         if self.stats is not None:
             self.stats.absorb(base_table)
         for r in sorted(set(roots)):
-            if base_problem is None:
-                break
-            rooted = _Problem(
-                base_problem.in_adj,
-                base_problem.term_nodes,
-                base_problem.super_of,
-                (),
-                self.terminals,
-                r,
-            )
             try:
-                tree = _extract(rooted, by_mask, base_table)
+                tree = _extract(base_problem, by_mask, base_table, r)
             except MalformedTreeError:
                 tree = None
             if tree is not None:
@@ -494,21 +486,25 @@ class _CandidateStream:
         key = (w, len(tree.edges), tuple(e.key for e in tree.edges), root)
         heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
 
-    def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset) -> None:
-        heapq.heappush(self._heap, ((lb, -1), next(self._counter), root, forced, forbidden, None))
+    def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, grown=None) -> None:
+        heapq.heappush(self._heap, ((lb, -1), next(self._counter), root, forced, forbidden, grown))
 
-    def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset) -> None:
-        child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
-        if self.stats is not None:
-            self.stats.absorb(table)
+    def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset, grown) -> None:
+        if grown is not None:
+            edges, w = _canonicalize(root, grown, self.terminals)
+            child = SteinerTree(root, edges, frozenset(self.terminals), w)
+        else:
+            child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
+            if self.stats is not None:
+                self.stats.absorb(table)
         if child is not None:
             self._push(root, forced, forbidden, child)
 
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
-            if tree is None:
-                self._solve_child(root, forced, forbidden)
+            if key[1] == -1:
+                self._solve_child(root, forced, forbidden, tree)
                 continue
             yield key[0], root, tree
 
@@ -528,8 +524,9 @@ class _CandidateStream:
                 if f in tree_keys or f in sup_forbidden or f[0] not in reach:
                     continue
                 if f[1] not in heads:
-                    f_lb = lb + self.g.edge_by_key[f].weight
-                    self._defer(f_lb, root, tree_keys | {f}, frozenset(sup_forbidden))
+                    f_edge = self.g.edge_by_key[f]
+                    grown = tree.edges + (f_edge,) if f[0] in heads else None
+                    self._defer(lb + f_edge.weight, root, tree_keys | {f}, frozenset(sup_forbidden), grown)
                 sup_forbidden.add(f)
 
 

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from abducer import cli
 from abducer.cli import main
 from abducer.kb import serialize_network
 from abducer.synth import two_disorder_network
@@ -279,6 +280,18 @@ class TestExportDot:
         code, _, err = run("export-dot", fig2_path, "--out", tmp_path / "no" / "dir.dot")
         assert code == 3
         assert err.startswith("error:")
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_four(self, run, fig2_path, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code, out, err = run("validate", fig2_path)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize("kind", ["cause", "isa"])

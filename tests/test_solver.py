@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abducer import (
     GraphEdge,
@@ -25,7 +26,7 @@ from abducer import (
 )
 from abducer.kb import TOP_NAME
 from abducer.scenario import log_weight
-from abducer.solver import _CandidateStream, best_valid_tree
+from abducer.solver import _canonicalize, _CandidateStream, best_valid_tree
 from abducer.synth import (
     complexity_network,
     random_network,
@@ -183,10 +184,14 @@ class TestConstraints:
         assert tree is None
 
 
-def _arborescences(g, root):
-    """Every arborescence rooted at root, as (reached nodes, weight)."""
+def _arborescences(g, root, forced=frozenset(), forbidden=frozenset()):
+    """Every arborescence rooted at root that holds every forced edge key
+    and no forbidden one, as (reached nodes, weight)."""
     for r in range(len(g.edges) + 1):
         for combo in itertools.combinations(g.edges, r):
+            keys = {e.key for e in combo}
+            if not forced <= keys or keys & forbidden:
+                continue
             dsts = [e.dst for e in combo]
             if len(set(dsts)) != len(dsts) or root in dsts:
                 continue
@@ -204,10 +209,10 @@ def _arborescences(g, root):
             yield reached, sum(e.weight for e in combo)
 
 
-def _cheapest_arborescence(g, root, terminals):
+def _cheapest_arborescence(g, root, terminals, forced=frozenset(), forbidden=frozenset()):
     terms = frozenset(terminals)
     best = None
-    for reached, w in _arborescences(g, root):
+    for reached, w in _arborescences(g, root, forced, forbidden):
         if terms <= reached and (best is None or w < best):
             best = w
     return best
@@ -227,20 +232,36 @@ class TestDpOptimality:
                     assert tree.total_weight == pytest.approx(want, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(tiny_networks())
-    def test_random_nets_agree_with_sweep(self, net):
+    @given(tiny_networks(), st.data())
+    def test_random_nets_agree_with_sweep(self, net, data):
+        # Unconstrained, then with a drawn subset of the optimal tree's
+        # edges forced and one drawn other edge forbidden.
         g = build_search_graph(net)
         effects = sorted({l.effect for l in net.causal})[:2]
         if not effects:
             return
         for root in net.disorders:
-            tree, _ = steiner_dp(g, root, effects)
-            want = _cheapest_arborescence(g, root, effects)
-            if want is None:
-                assert tree is None
-            else:
-                assert tree is not None
-                assert tree.total_weight == pytest.approx(want, abs=1e-9)
+            tree = _dp_agrees_with_sweep(g, root, effects)
+            if tree is None or not tree.edges:
+                continue
+            keys = sorted(e.key for e in tree.edges)
+            forced = frozenset(data.draw(st.lists(st.sampled_from(keys), unique=True)))
+            others = sorted(set(g.edge_by_key) - forced)
+            forbidden = frozenset([data.draw(st.sampled_from(others))] if others else [])
+            _dp_agrees_with_sweep(g, root, effects, forced, forbidden)
+
+
+def _dp_agrees_with_sweep(g, root, terminals, forced=frozenset(), forbidden=frozenset()):
+    tree, _ = steiner_dp(g, root, terminals, forced, forbidden)
+    want = _cheapest_arborescence(g, root, terminals, forced, forbidden)
+    if want is None:
+        assert tree is None
+        return None
+    assert tree is not None
+    assert tree.total_weight == pytest.approx(want, abs=1e-9)
+    keys = {e.key for e in tree.edges}
+    assert forced <= keys and not forbidden & keys
+    return tree
 
 
 class TestTreeToScenario:
@@ -373,20 +394,48 @@ class TestCandidateStream:
         g = build_search_graph(add_top(net))
         assert _stream_items(g, [TOP_NAME], obs) == want
 
-    def test_children_past_the_stop_point_are_never_solved(self):
-        # d->o is the best tree and d->x0->o the next, past the k=1 stop.
-        # Forcing d->x_i bounds an extension child above d->x0->o, so it is
-        # never solved; forcing x_i->o would give o a second parent, so that
-        # child is never built.  Only the base DP and the exclusion child of
-        # d->o (which finds d->x0->o) run.
+    @pytest.mark.parametrize("p_xo", [0.95, 0.5])
+    def test_children_past_the_stop_point_are_never_solved(self, p_xo):
+        # d->o is the best tree; every other tree lies past the k=1 stop.
+        # Forcing x_i->o would give o a second parent, so that child is
+        # never built.  Forcing d->x_i leaves the tree d->o, so that child's
+        # optimum is d->o plus d->x_i, built in closed form without a DP:
+        # with p(x_i->o)=0.95 its bound sorts after d->x0->o and it is never
+        # popped, with 0.5 it sorts before d->x0->o and is popped.  Either
+        # way only the base DP and the exclusion child of d->o (which finds
+        # d->x0->o) run.
         text = "event d prior=0.5 disorder\nevent o\ncause d o p=0.9\n"
         for i in range(10):
-            text += f"event x{i}\ncause d x{i} p=0.5\ncause x{i} o p=0.95\n"
+            text += f"event x{i}\ncause d x{i} p=0.5\ncause x{i} o p={p_xo}\n"
         net = parse_network(text)
         stats = SolveStats()
         got = explain(net, ["o"], k=1, stats=stats)
         assert [r.scenario for r in got] == [Scenario.make("d", [("d", "o")])]
         assert stats.dp_runs == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(networks_with_observations())
+    def test_closed_form_extension_children_match_the_dp(self, net_obs):
+        # An extension child whose forced edge f leaves the tree T is built
+        # as T + f without a DP; the DP under the same forced edges must
+        # return exactly that tree, edge order and weight bits included.
+        net, obs = net_obs
+        if not obs or not net.disorders:
+            return
+        terms = tuple(sorted(set(obs)))
+        for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
+            g = build_search_graph(work)
+            causal = [e for e in g.edges if e.kind == "cause"]
+            for _, root, tree in itertools.islice(_CandidateStream(g, roots, terms), 15):
+                tree_keys = frozenset(e.key for e in tree.edges)
+                nodes = {root} | {e.dst for e in tree.edges}
+                for f in causal:
+                    if f.src not in nodes or f.dst in nodes:
+                        continue
+                    edges, weight = _canonicalize(root, tree.edges + (f,), terms)
+                    child, _ = steiner_dp(g, root, terms, forced=tree_keys | {f.key})
+                    assert child.edges == edges
+                    assert child.total_weight == weight
 
 
 class TestExplain:
