@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from abducer import add_top, best_explanations_bruteforce, explain
+from abducer import best_explanations_bruteforce, explain
 from abducer.synth import random_network, random_observations
 
 
@@ -42,11 +42,7 @@ def compare_one(cfg: SweepConfig, seed: int) -> tuple[str | None, float, float]:
     t0 = time.perf_counter()
     got = explain(net, obs, k=cfg.k, multi=cfg.multi)
     t1 = time.perf_counter()
-    if cfg.multi:
-        work = net if net.top else add_top(net)
-        want = best_explanations_bruteforce(work, obs, cfg.k, culprit=work.top)
-    else:
-        want = best_explanations_bruteforce(net, obs, cfg.k)
+    want = best_explanations_bruteforce(net, obs, cfg.k, multi=cfg.multi)
     t2 = time.perf_counter()
 
     if [r.scenario for r in got] != [r.scenario for r in want]:

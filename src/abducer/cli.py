@@ -73,13 +73,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     stats = SolveStats() if args.stats else None
     started = time.perf_counter()
     if args.oracle:
-        from .kb import add_top
-
-        if args.multi:
-            work = net if net.top else add_top(net)
-            results = best_explanations_bruteforce(work, obs, args.k, culprit=work.top)
-        else:
-            results = best_explanations_bruteforce(net, obs, args.k)
+        results = best_explanations_bruteforce(net, obs, args.k, multi=args.multi)
     else:
         results = explain(net, obs, k=args.k, multi=args.multi, stats=stats)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

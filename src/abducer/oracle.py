@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NetworkTooLargeError, UnknownEventError
-from .kb import CausalNetwork, EventId
+from .kb import CausalNetwork, EventId, add_top
 from .scenario import (
     Link,
     Scenario,
@@ -118,11 +118,14 @@ def best_explanations_bruteforce(
     k: int,
     max_network_links: int = MAX_ORACLE_LINKS,
     culprit: EventId | None = None,
+    multi: bool = False,
 ) -> list[RankedExplanation]:
     """The k most probable explanations of the observations, by exhaustion.
 
-    With ``culprit`` given, only scenarios rooted there are considered
-    (used to mirror the solver's augmented-root mode)."""
+    With ``culprit`` given, only scenarios rooted there are considered.
+    ``multi`` mirrors the solver's multi mode: the network is augmented
+    with the distinguished root (unless it already has one) and only
+    scenarios rooted there are considered."""
     obs = frozenset(observations)
     if not obs:
         raise ValueError("observation set must be non-empty")
@@ -132,6 +135,9 @@ def best_explanations_bruteforce(
     if k < 1:
         raise ValueError("k must be positive")
 
+    if multi:
+        net = net if net.top else add_top(net)
+        culprit = net.top
     disorders = frozenset(net.disorders)
     found: list[tuple[Scenario, float, float]] = []
     for cand in enumerate_valid_scenarios(net, len(net.causal), max_network_links):

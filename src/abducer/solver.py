@@ -18,6 +18,14 @@ tree needs no DP: its optimum is the parent tree plus that edge.  A child's
 DP filters the graph's per-node in-edge lists as it reaches each node
 instead of rebuilding the whole adjacency.
 
+Only clean trees leave the enumeration: every isa edge's head has an
+out-edge in the tree, and a terminal entered by an isa edge has a causal
+one.  An unclean tree either leaves an observation uncovered (only the
+culprit and link endpoints participate) or ends in an isa leaf that adds
+nothing to its scenario.  When the DP returns one, its subspace is
+replaced by a repair partition of that subspace's clean trees, solved
+lazily like every other Lawler child (see ``_CandidateStream``).
+
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
 are never touched.
@@ -433,6 +441,30 @@ class _CandidateStream:
     function the DP's extraction ends in; since the DP would trace no edge
     beyond the forced ones, edge order and weight bits are the DP's.  No
     DP runs for it, so it adds nothing to the stats.
+
+    Only clean trees are yielded: every isa edge's head has an out-edge in
+    the tree, and a terminal entered by an isa edge has a causal out-edge.
+    A popped tree T of subproblem (F, X) that is not clean is dropped, and
+    its subspace is replaced by a repair partition.  Let e = c->x be the
+    first isa edge, in T's BFS order, that breaks the rule; an out-edge of
+    x qualifies if it is causal, or if x is not a terminal.  The children,
+    all deferred under ``(w(T) - WEIGHT_TIE_TOL, -1)``, are (F, X + e)
+    unless e is forced, and for each qualifying g_i of ``out_edges[x]``
+    not in X, (F + {e, g_i}, X + {g_1 .. g_i-1}).
+
+    This is exact.  A tree of (F, X) that the children drop contains e and
+    gives x no qualifying out-edge, so either x is an observation it does
+    not cover, and the tree is never an explanation, or x is a
+    non-terminal isa leaf, and removing e leaves a tree with the same
+    scenario and weight that lies in another subspace.  A clean tree of
+    (F, X) either lacks e or contains e and exactly one first qualifying
+    g_i, so it lies in exactly one child.  Every child adds a forced or
+    forbidden key, so repairs terminate.  The only trees a clean tree's
+    own children leave out are its supersets by isa edges alone, which end
+    in an isa leaf, so every clean tree is yielded once, in the order the
+    unrepaired stream yields it.  Two clean trees can still map to one
+    scenario when isa routes join (an isa diamond), which is why
+    ``explain`` keeps its ``seen`` set.
     """
 
     def __init__(
@@ -444,6 +476,7 @@ class _CandidateStream:
     ):
         self.g = g
         self.terminals = tuple(sorted(set(terminals)))
+        self._term_set = frozenset(self.terminals)
         self.stats = stats
         self._counter = itertools.count()
         self._heap: list[tuple] = []
@@ -500,15 +533,39 @@ class _CandidateStream:
         if child is not None:
             self._push(root, forced, forbidden, child)
 
+    def _repair(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
+        """Replace an unclean tree's subspace by children holding its clean
+        trees; False, with nothing deferred, when the tree is clean."""
+        srcs = {e.src for e in tree.edges}
+        causes = {e.src for e in tree.edges if e.kind == "cause"}
+        for e in tree.edges:
+            if e.kind == "isa" and e.dst not in (causes if e.dst in self._term_set else srcs):
+                break
+        else:
+            return False
+        x = e.dst
+        causal_only = x in self._term_set
+        if e.key not in forced:
+            self._defer(lb, root, forced, forbidden | {e.key})
+        skipped = set(forbidden)
+        for out in self.g.out_edges.get(x, ()):
+            if out.key in skipped or (causal_only and out.kind != "cause"):
+                continue
+            self._defer(lb, root, forced | {e.key, out.key}, frozenset(skipped))
+            skipped.add(out.key)
+        return True
+
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
             if key[1] == -1:
                 self._solve_child(root, forced, forbidden, tree)
                 continue
+            lb = key[0] - WEIGHT_TIE_TOL
+            if self._repair(lb, root, forced, forbidden, tree):
+                continue
             yield key[0], root, tree
 
-            lb = key[0] - WEIGHT_TIE_TOL
             prefix = set(forced)
             for e in tree.edges:
                 if e.key in forced:
@@ -582,6 +639,8 @@ def explain(
         if len(found) >= k and w > kth + WEIGHT_TIE_TOL:
             break
         scenario = tree_to_scenario(work, tree)
+        # Clean trees can still share a scenario: two isa routes from one
+        # participant to one link's cause give two trees, one scenario.
         if scenario in seen:
             continue
         seen.add(scenario)

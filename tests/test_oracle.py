@@ -15,11 +15,13 @@ from abducer import (
     NetworkTooLargeError,
     Scenario,
     UnknownEventError,
+    add_top,
     best_explanations_bruteforce,
     enumerate_valid_scenarios,
     is_valid_scenario,
     parse_network,
 )
+from abducer.kb import TOP_NAME
 from abducer.oracle import (
     MAX_ORACLE_LINKS,
     WEIGHT_TIE_TOL,
@@ -27,6 +29,7 @@ from abducer.oracle import (
     structure_key,
 )
 from abducer.scenario import log_weight, participants, raw_probability
+from abducer.synth import two_disorder_network
 
 from strategies import tiny_networks
 
@@ -171,6 +174,16 @@ class TestRanking:
     def test_culprit_restriction(self, fig2):
         got = best_explanations_bruteforce(fig2, ["g"], 5, culprit="d")
         assert got and all(r.scenario.culprit == "d" for r in got)
+
+    def test_multi_ranks_through_the_augmented_root(self):
+        # multi=True is the augmented network restricted to its root, and a
+        # network that already declares the root is not augmented again
+        net = two_disorder_network()
+        aug = add_top(net)
+        want = best_explanations_bruteforce(aug, ["s1", "s2"], 3, culprit=TOP_NAME)
+        assert want and want[0].scenario.culprit == TOP_NAME
+        assert best_explanations_bruteforce(net, ["s1", "s2"], 3, multi=True) == want
+        assert best_explanations_bruteforce(aug, ["s1", "s2"], 3, multi=True) == want
 
 
 class TestTieBreaking:
