@@ -281,9 +281,12 @@ def recognize(
     query: RecognitionQuery,
     stats: SolveStats | None = None,
 ) -> list[RecognitionResult]:
-    """Rank the candidate concepts by the weight of their lightest valid
-    tree covering the described property values.  Candidates that cannot
-    be scored are reported as inapplicable rather than dropped."""
+    """Rank the candidate concepts by exact score, ties by concept id.
+
+    A candidate is applicable when a valid tree covering the described
+    property values exists; its weight -ln(score) is that lightest tree's
+    weight.  Candidates that cannot be scored are reported as inapplicable
+    rather than dropped."""
     if not query.cset:
         raise ValueError("candidate set must be non-empty")
     if not query.descr:
@@ -324,10 +327,11 @@ def recognize(
             )
             continue
         tree, _ = found
-        weight = g.node_weight.get(c, 0.0) + tree.total_weight
+        # From the exact score, so that equal scores get equal weights.
+        weight = math.log(score.denominator) - math.log(score.numerator)
         ranked.append(RecognitionResult(c, True, weight, score, None, tree))
 
-    ranked.sort(key=lambda r: (r.weight, r.concept))
+    ranked.sort(key=lambda r: (-r.score, r.concept))
     inapplicable.sort(key=lambda r: r.concept)
     return ranked + inapplicable
 

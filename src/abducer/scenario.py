@@ -19,6 +19,21 @@ Scenarios are trees: every effect is caused by at most one link and the
 culprit is never an effect.  Together with the acyclic causal+isa union this
 keeps every valid scenario realizable as an arborescence in the search
 graph, which the solver relies on.
+
+Some links can be ruled out per culprit before any scenario is built.
+``shadowed_links(net, r)`` holds the links ``x -> y`` with ``x`` a proper
+isa ancestor of ``r`` that are preempted at every point they could attach
+at: at ``r`` itself and at every specialization of ``x`` that is reachable
+from ``r`` and is no ancestor of ``r``, some ``u`` with ``p isa* u isa+ x``
+has a link ``u -> y``, and no ``u'`` with ``p isa* u' isa+ u`` has a link
+``u' -> y`` or ``u' -> u``.  No valid scenario rooted at ``r`` holds such a
+link.  Every participant descends from ``r`` through the cause+isa union, so
+by acyclicity ``r`` is always maximally specific and its proper ancestors
+never are; ``x -> y`` can thus only attach at one of the points tested.
+There ``u -> y`` is a candidate alternative that nothing more specific can
+preempt, and it is never already placed, because then ``y`` would be caused
+twice, which ``is_valid_scenario`` rejects before it searches.  So
+``preempting_alternative`` returns ``u -> y`` or an earlier alternative.
 """
 
 from __future__ import annotations
@@ -137,6 +152,57 @@ def preempting_alternative(
             if preempting_alternative(net, placed, caused, p, u, w) is None:
                 return alt
     return None
+
+
+def _shadowed_at(net: CausalNetwork, p: EventId, x: EventId, y: EventId) -> bool:
+    """Some u with ``p isa* u isa+ x`` has a link u -> y that nothing more
+    specific on p's climb can preempt."""
+    climb = net.isa_star(p)
+    for u in climb:
+        if u == x or x not in net.isa_star(u) or not net.is_link(u, y):
+            continue
+        if not any(
+            v != u and u in net.isa_star(v) and (net.is_link(v, y) or net.is_link(v, u))
+            for v in climb
+        ):
+            return True
+    return False
+
+
+def shadowed_links(net: CausalNetwork, root: EventId) -> frozenset[Link]:
+    """Links from proper isa ancestors of root that no valid scenario rooted
+    at root can hold (see the module docstring).
+
+    The events reachable from root are searched once, and only when some
+    link passes the test at root itself.
+    """
+    climb = net.isa_star(root)
+    others: set[EventId] | None = None
+    out = []
+    for x in sorted(climb):
+        if x == root:
+            continue
+        for y in net.effects_of(x):
+            if not _shadowed_at(net, root, x, y):
+                continue
+            if others is None:
+                others = _reachable(net, root) - climb
+            if all(x not in net.isa_star(p) or _shadowed_at(net, p, x, y) for p in others):
+                out.append((x, y))
+    return frozenset(out)
+
+
+def _reachable(net: CausalNetwork, root: EventId) -> set[EventId]:
+    """Events reachable from root by causal and isa links."""
+    seen = {root}
+    todo = [root]
+    while todo:
+        v = todo.pop()
+        for w in net.effects_of(v) + net.parents_of(v):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> ValidityResult:

@@ -26,6 +26,13 @@ nothing to its scenario.  When the DP returns one, its subspace is
 replaced by a repair partition of that subspace's clean trees, solved
 lazily like every other Lawler child (see ``_CandidateStream``).
 
+Links that a root's own isa climb shadows (``scenario.shadowed_links``) are
+never offered: they start out forbidden in that root's subspace, since no
+valid scenario rooted there holds one.  A root whose tree from the shared
+base DP uses one waits as the Lawler child that forbids them all.  The
+validity check stays on every tree, because a link can still be preempted
+in one scenario and not in another.
+
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
 are never touched.
@@ -37,7 +44,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InconsistentConstraintsError,
@@ -53,6 +60,7 @@ from .scenario import (
     log_weight,
     participants,
     raw_probability,
+    shadowed_links,
 )
 
 MAX_TERMINALS = 20
@@ -223,9 +231,10 @@ def _build_problem(
             seen.add(u)
         super_of[v] = u
 
-    # The root's own bit costs nothing (its base entry is zero), so terminal
-    # nodes are kept root-agnostic and one DP table can serve every root.
+    # The root's own bit costs nothing (its base entry is zero), so it is no
+    # terminal node; every forced prefix contracts into it.
     term_nodes = {super_of.get(t, t) for t in terminals} | set(super_of.values())
+    term_nodes.discard(root)
     return _Problem(g, forbidden_keys, super_of, tuple(sorted(term_nodes)), forced_edges, terminals)
 
 
@@ -355,21 +364,23 @@ def steiner_dp(
     ``forbidden`` edges must not; both are given as ``(src, dst)`` keys.
     Returns (None, table) when no tree exists.
     """
-    terms = tuple(sorted(set(terminals)))
+    term_set = frozenset(terminals)
+    terms = tuple(sorted(term_set))
     if root not in g.node_set:
         raise UnknownEventError(f"unknown event: {root}")
-    for t in terms:
-        if t not in g.node_set:
-            raise UnknownEventError(f"unknown event: {t}")
+    if not term_set <= g.node_set:
+        t = next(t for t in terms if t not in g.node_set)
+        raise UnknownEventError(f"unknown event: {t}")
     if len(terms) > MAX_TERMINALS:
         raise TooManyTerminalsError(f"{len(terms)} terminals exceed {MAX_TERMINALS}")
-    forced_keys = frozenset((s, d) for s, d in forced)
-    forbidden_keys = frozenset((s, d) for s, d in forbidden)
-    for k in sorted(forced_keys):
-        if k not in g.edge_by_key:
-            raise InconsistentConstraintsError(f"forced edge {k[0]}->{k[1]} not in graph")
-        if k in forbidden_keys:
-            raise InconsistentConstraintsError(f"edge {k[0]}->{k[1]} both forced and forbidden")
+    forced_keys = forced if isinstance(forced, frozenset) else frozenset((s, d) for s, d in forced)
+    forbidden_keys = forbidden if isinstance(forbidden, frozenset) else frozenset((s, d) for s, d in forbidden)
+    if not (g.edge_by_key.keys() >= forced_keys and forced_keys.isdisjoint(forbidden_keys)):
+        for k in sorted(forced_keys):
+            if k not in g.edge_by_key:
+                raise InconsistentConstraintsError(f"forced edge {k[0]}->{k[1]} not in graph")
+            if k in forbidden_keys:
+                raise InconsistentConstraintsError(f"edge {k[0]}->{k[1]} both forced and forbidden")
 
     table = DPTable()
     problem = _build_problem(g, root, terms, forced_keys, forbidden_keys)
@@ -465,6 +476,13 @@ class _CandidateStream:
     unrepaired stream yields it.  Two clean trees can still map to one
     scenario when isa routes join (an isa diamond), which is why
     ``explain`` keeps its ``seen`` set.
+
+    ``shadowed(r)``, when given, names edge keys that no tree rooted at r
+    may use; they are r's initial forbidden keys, so every child of r
+    forbids them too.  A root whose base tree uses one is not pushed; it
+    waits as the child (F = {}, X = shadowed(r)) under its base weight
+    less ``WEIGHT_TIE_TOL``.  The stream then yields the unconstrained
+    stream's trees minus those that use a shadowed key, in the same order.
     """
 
     def __init__(
@@ -473,6 +491,7 @@ class _CandidateStream:
         roots: Iterable[str],
         terminals: Iterable[str],
         stats: SolveStats | None = None,
+        shadowed: Callable[[str], frozenset[EdgeKey]] | None = None,
     ):
         self.g = g
         self.terminals = tuple(sorted(set(terminals)))
@@ -480,10 +499,7 @@ class _CandidateStream:
         self.stats = stats
         self._counter = itertools.count()
         self._heap: list[tuple] = []
-        self._causal_keys = tuple(
-            sorted(k for k, e in g.edge_by_key.items() if e.kind == "cause")
-        )
-        self._desc_cache: dict[str, frozenset[str]] = {}
+        self._ext_cache: dict[str, tuple[GraphEdge, ...]] = {}
         base_table = DPTable()
         base_problem = _Problem(g, frozenset(), {}, self.terminals, (), self.terminals)
         by_mask = _run_dp(base_problem, base_table)
@@ -494,24 +510,33 @@ class _CandidateStream:
                 tree = _extract(base_problem, by_mask, base_table, r)
             except MalformedTreeError:
                 tree = None
-            if tree is not None:
-                self._push(r, frozenset(), frozenset(), tree)
+            if tree is None:
+                continue
+            banned = shadowed(r) if shadowed is not None else frozenset()
+            if any(e.key in banned for e in tree.edges):
+                lb = self._root_weight(r) + tree.total_weight - WEIGHT_TIE_TOL
+                self._defer(lb, r, frozenset(), banned)
+            else:
+                self._push(r, frozenset(), banned, tree)
 
     def _root_weight(self, root: str) -> float:
         return self.g.node_weight.get(root, 0.0)
 
-    def _descendants(self, root: str) -> frozenset[str]:
-        cached = self._desc_cache.get(root)
+    def _extension_edges(self, root: str) -> tuple[GraphEdge, ...]:
+        """The causal edges whose source root reaches, in key order."""
+        cached = self._ext_cache.get(root)
         if cached is None:
             seen = {root}
             queue = [root]
+            causal = []
             while queue:
-                v = queue.pop()
-                for e in self.g.out_edges.get(v, ()):
+                for e in self.g.out_edges.get(queue.pop(), ()):
+                    if e.kind == "cause":
+                        causal.append(e)
                     if e.dst not in seen:
                         seen.add(e.dst)
                         queue.append(e.dst)
-            cached = self._desc_cache[root] = frozenset(seen)
+            cached = self._ext_cache[root] = tuple(sorted(causal, key=lambda e: e.key))
         return cached
 
     def _push(self, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
@@ -575,13 +600,12 @@ class _CandidateStream:
 
             tree_keys = frozenset(e.key for e in tree.edges)
             heads = {root} | {e.dst for e in tree.edges}
-            reach = self._descendants(root)
             sup_forbidden = set(forbidden)
-            for f in self._causal_keys:
-                if f in tree_keys or f in sup_forbidden or f[0] not in reach:
+            for f_edge in self._extension_edges(root):
+                f = f_edge.key
+                if f in tree_keys or f in sup_forbidden:
                     continue
                 if f[1] not in heads:
-                    f_edge = self.g.edge_by_key[f]
                     grown = tree.edges + (f_edge,) if f[0] in heads else None
                     self._defer(lb + f_edge.weight, root, tree_keys | {f}, frozenset(sup_forbidden), grown)
                 sup_forbidden.add(f)
@@ -595,9 +619,10 @@ def best_valid_tree(
     stats: SolveStats | None = None,
 ) -> tuple[SteinerTree, Scenario] | None:
     """Lightest tree rooted at root whose scenario is valid and covers
-    the terminals as participants."""
+    the terminals as participants; links shadowed at root are never
+    offered."""
     terms = frozenset(terminals)
-    for w, r, tree in _CandidateStream(g, [root], terms, stats):
+    for w, r, tree in _CandidateStream(g, [root], terms, stats, lambda r: shadowed_links(net, r)):
         scenario = tree_to_scenario(net, tree)
         if terms <= participants(net, scenario) and is_valid_scenario(net, scenario):
             return tree, scenario
@@ -615,6 +640,7 @@ def explain(
 
     Single mode roots the search at each disorder; multi mode augments the
     network with the distinguished root event and explains through it.
+    Links that the root's isa climb shadows are never offered.
     Fewer than k results are returned when fewer explanations exist.
     """
     obs = frozenset(observations)
@@ -635,7 +661,9 @@ def explain(
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
     kth = math.inf
-    for w, root, tree in _CandidateStream(g, roots, obs, stats):
+    # The distinguished root has no proper isa ancestor, so nothing is
+    # shadowed in multi mode.
+    for w, root, tree in _CandidateStream(g, roots, obs, stats, lambda r: shadowed_links(work, r)):
         if len(found) >= k and w > kth + WEIGHT_TIE_TOL:
             break
         scenario = tree_to_scenario(work, tree)

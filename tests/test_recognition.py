@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from abducer.recognition import (
     build_recognition_graph,
     value_node,
 )
+from abducer.synth import random_taxonomy
 
 from strategies import taxonomies
 
@@ -280,6 +282,17 @@ class TestRecognize:
         with pytest.raises(UnknownPropertyValueError) as err:
             recognize(fruits, query(["apple"], [("taste", "bitter")]))
         assert str(err.value) == "unknown property-value: taste=bitter"
+
+
+class TestExactTies:
+    def test_equal_scores_rank_by_concept(self):
+        # c1 and c8 both score 4; their trees' float weights differ by an
+        # ulp, with c8's the lighter.
+        kb, _ = random_taxonomy(random.Random(63), max_concepts=10)
+        got = recognize(kb, query(all_concept_ids(kb), [("p0", "v0")]))
+        tied = [r for r in got if r.applicable and r.score == 4]
+        assert [r.concept for r in tied] == ["c1", "c8"]
+        assert tied[0].weight == tied[1].weight == -math.log(4)
 
 
 class TestRandomTaxonomies:

@@ -10,14 +10,17 @@ from abducer import (
     Scenario,
     UnknownEventError,
     UnknownLinkError,
+    add_top,
     enumerate_valid_scenarios,
     is_explanation,
     is_valid_scenario,
     log_weight,
+    parse_network,
     participants,
     probability,
 )
-from abducer.scenario import raw_probability
+from abducer.scenario import raw_probability, shadowed_links
+from abducer.synth import random_network
 
 from strategies import seeds, tiny_networks
 
@@ -242,3 +245,49 @@ class TestMonotonicity:
         for s in enumerate_valid_scenarios(net, 3):
             if s.culprit in priors:
                 assert probability(net, s) == raw_probability(net, s)
+
+
+class TestShadowedLinks:
+    def test_fig2(self, fig2):
+        # d isa b isa a: a->e gives way to b->e at d, and neither other
+        # specialization of a (c, f) is reachable from d.
+        assert shadowed_links(fig2, "d") == {("a", "e")}
+        assert shadowed_links(fig2, "c") == frozenset()
+        assert shadowed_links(fig2, "f") == frozenset()
+
+    def test_no_valid_scenario_holds_a_shadowed_link(self):
+        checked = 0
+        for shape in ((6, 9, 6), (7, 11, 8), (8, 12, 6), (6, 8, 9)):
+            for seed in range(100):
+                net = random_network(random.Random(seed), *shape)
+                for work in (net, add_top(net)):
+                    shadowed = {}
+                    for s in enumerate_valid_scenarios(work, len(work.causal)):
+                        if s.culprit not in shadowed:
+                            shadowed[s.culprit] = shadowed_links(work, s.culprit)
+                        assert not s.causations & shadowed[s.culprit], (shape, seed, s)
+                        checked += bool(shadowed[s.culprit])
+        assert checked > 1000
+
+    def test_reachable_specialization_keeps_the_link(self):
+        # r->y shadows x->y at r, but r->s makes s a participant that
+        # specializes x with no alternative of its own.
+        text = (
+            "event r prior=0.5 disorder\nevent x\nevent s\nevent y\n"
+            "isa r x\nisa s x\ncause x y p=0.5\ncause r y p=0.5\n"
+        )
+        assert shadowed_links(parse_network(text), "r") == {("x", "y")}
+        net = parse_network(text + "cause r s p=0.5\n")
+        assert shadowed_links(net, "r") == frozenset()
+        assert is_valid_scenario(net, scen("r", ("r", "s"), ("x", "y")))
+
+    def test_alternative_preempted_by_a_link_into_it_does_not_shadow(self):
+        # u->y would preempt x->y at r, but u1->u preempts u->y in turn
+        # while u is not caused, so x->y alone is valid.
+        net = parse_network(
+            "event r prior=0.5 disorder\nevent u1\nevent m\nevent u\nevent x\nevent y\n"
+            "isa r u1\nisa u1 m\nisa m u\nisa u x\n"
+            "cause x y p=0.5\ncause u y p=0.5\ncause u1 u p=0.5\n"
+        )
+        assert ("x", "y") not in shadowed_links(net, "r")
+        assert is_valid_scenario(net, scen("r", ("x", "y")))

@@ -26,7 +26,7 @@ from abducer import (
     tree_to_scenario,
 )
 from abducer.kb import TOP_NAME
-from abducer.scenario import log_weight, participants
+from abducer.scenario import log_weight, participants, shadowed_links
 from abducer.solver import _canonicalize, _CandidateStream, best_valid_tree
 from abducer.synth import (
     complexity_network,
@@ -437,6 +437,27 @@ class TestCandidateStream:
             assert len(got) == len(want), seed
             assert {(root, keys) for root, keys, _ in got} == want, seed
 
+    def test_shadowed_links_drop_only_the_trees_that_hold_them(self):
+        # Seeding each root's forbidden keys with its shadowed links yields
+        # the unconstrained stream minus the trees holding one, in order.
+        dropped = 0
+        for seed in range(400):
+            net = random_network(random.Random(seed), max_events=7, max_causal=8, max_isa=6)
+            terms = frozenset(sorted({l.effect for l in net.causal})[:2])
+            if not terms or not net.disorders:
+                continue
+            g = build_search_graph(net)
+            shadowed = {r: shadowed_links(net, r) for r in net.disorders}
+            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(g, net.disorders, terms)]
+            want = [i for i in plain if not any(e.key in shadowed[i[1]] for e in i[2])]
+            got = [
+                (w, r, t.edges)
+                for w, r, t in _CandidateStream(g, net.disorders, terms, shadowed=shadowed.get)
+            ]
+            assert got == want, seed
+            dropped += len(plain) - len(want)
+        assert dropped > 100
+
     def test_terminal_crossed_by_isa_is_not_covered(self):
         # d isa x isa y -> w reaches both observations, but x is crossed
         # by isa only and is no participant; the tree is never yielded.
@@ -603,6 +624,63 @@ class TestDenseRegressions:
         assert stats.dp_runs < 1500
 
 
+# Two disorders, e0 isa e1 isa e2.  At e0, e0->e4 and e0->e5 shadow the
+# links of e1 and e2 to e4 and e5, and e1->e3 shadows e2->e3; at e1, the
+# links of e1 shadow all three of e2's.
+SHADOW_NET = """\
+event e0 prior=0.1019 disorder
+event e1 prior=0.1593 disorder
+event e2
+event e3
+event e4
+event e5
+isa e0 e1
+isa e1 e2
+cause e0 e2 p=0.0602
+cause e0 e4 p=0.4371
+cause e0 e5 p=0.5706
+cause e1 e3 p=0.7023
+cause e1 e4 p=0.7032
+cause e1 e5 p=0.8188
+cause e2 e3 p=0.8214
+cause e2 e4 p=0.3762
+cause e2 e5 p=0.2128
+cause e3 e5 p=0.9390
+cause e4 e5 p=0.6055
+"""
+
+
+class TestShadowedLinks:
+    def test_the_lightest_trees_are_preempted(self):
+        # The general links are the cheap ones, so a stream that offered
+        # them would pop dozens of preempted trees (46 DPs) before it had
+        # 10 explanations.
+        net = parse_network(SHADOW_NET)
+        assert ("e1", "e4") in shadowed_links(net, "e0")
+        obs = ["e2", "e3", "e4"]
+        stats = SolveStats()
+        got = explain(net, obs, k=10, stats=stats)
+        want = best_explanations_bruteforce(net, obs, 10)
+        assert [r.scenario for r in got] == [r.scenario for r in want]
+        for g_, w_ in zip(got, want):
+            assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
+        assert stats.dp_runs <= 12
+
+    def test_recognition_offers_only_the_relevant_statistics(self):
+        # c isa b isa a, each with its own p=v statistic: only c's edge is
+        # offered, so the search ends after the base DP and one child.
+        net = parse_network(
+            "event a prior=0.5 disorder\nevent b prior=0.5 disorder\n"
+            "event c prior=0.5 disorder\nevent pv\n"
+            "isa c b\nisa b a\ncause a pv p=0.9\ncause b pv p=0.8\ncause c pv p=0.1\n"
+        )
+        assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
+        stats = SolveStats()
+        _, scenario = best_valid_tree(net, build_search_graph(net), "c", ["pv"], stats)
+        assert scenario == Scenario.make("c", [("c", "pv")])
+        assert stats.dp_runs == 2
+
+
 class TestExplainAgainstOracle:
     @pytest.mark.parametrize("multi", [False, True])
     def test_isa_heavy_networks(self, multi):
@@ -617,6 +695,24 @@ class TestExplainAgainstOracle:
             assert [r.scenario for r in got] == [r.scenario for r in want], seed
             for g_, w_ in zip(got, want):
                 assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
+
+    def test_networks_with_shadowed_links(self):
+        # The first 60 seeded networks where some disorder shadows a link.
+        compared = 0
+        for seed in itertools.count():
+            rng = random.Random(seed)
+            net = random_network(rng, max_events=8, max_causal=12, max_isa=10)
+            obs = random_observations(rng, net)
+            if not any(shadowed_links(net, r) for r in net.disorders):
+                continue
+            got = explain(net, obs, k=10)
+            want = best_explanations_bruteforce(net, obs, 10)
+            assert [r.scenario for r in got] == [r.scenario for r in want], seed
+            for g_, w_ in zip(got, want):
+                assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
+            compared += 1
+            if compared == 60:
+                break
 
     @settings(max_examples=60, deadline=None)
     @given(networks_with_observations())
