@@ -15,6 +15,10 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
+
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from abducer import build_search_graph, steiner_dp
 from abducer.synth import (

@@ -13,6 +13,10 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
+
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from abducer import best_explanations_bruteforce, explain
 from abducer.synth import random_network, random_observations

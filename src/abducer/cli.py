@@ -56,6 +56,24 @@ def _links_text(r: RankedExplanation) -> str:
     return ",".join(pairs) if pairs else "-"
 
 
+def _stats_json(elapsed_ms: float, stats: SolveStats) -> dict:
+    """The --stats object of --json output."""
+    return {
+        "wall_ms": elapsed_ms,
+        "dp_runs": stats.dp_runs,
+        "relaxations": stats.relaxations,
+        "table_entries": stats.table_entries,
+    }
+
+
+def _stats_line(elapsed_ms: float, stats: SolveStats) -> str:
+    """The --stats line of text output."""
+    return (
+        f"stats: wall_ms={elapsed_ms:.1f} dp_runs={stats.dp_runs}"
+        f" relaxations={stats.relaxations} table_entries={stats.table_entries}"
+    )
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     text = _read(args.path)
     if args.path.endswith(".rkb"):
@@ -89,12 +107,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             "results": [_result_row(r) for r in results],
         }
         if args.stats:
-            payload["stats"] = {
-                "wall_ms": elapsed_ms,
-                "dp_runs": stats.dp_runs if stats else 0,
-                "relaxations": stats.relaxations if stats else 0,
-                "table_entries": stats.table_entries if stats else 0,
-            }
+            payload["stats"] = _stats_json(elapsed_ms, stats)
         print(_dump_json(payload))
     else:
         for r in results:
@@ -106,13 +119,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         if not results:
             print("no explanation")
         if args.stats:
-            line = f"stats: wall_ms={elapsed_ms:.1f}"
-            if stats is not None:
-                line += (
-                    f" dp_runs={stats.dp_runs} relaxations={stats.relaxations}"
-                    f" table_entries={stats.table_entries}"
-                )
-            print(line)
+            print(_stats_line(elapsed_ms, stats))
     return 0 if results else 1
 
 
@@ -158,12 +165,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
             "results": out,
         }
         if args.stats:
-            payload["stats"] = {
-                "wall_ms": elapsed_ms,
-                "dp_runs": stats.dp_runs if stats else 0,
-                "relaxations": stats.relaxations if stats else 0,
-                "table_entries": stats.table_entries if stats else 0,
-            }
+            payload["stats"] = _stats_json(elapsed_ms, stats)
         print(_dump_json(payload))
     else:
         rank = 0
@@ -179,13 +181,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         if not rows:
             print("no candidates")
         if args.stats:
-            line = f"stats: wall_ms={elapsed_ms:.1f}"
-            if stats is not None:
-                line += (
-                    f" dp_runs={stats.dp_runs} relaxations={stats.relaxations}"
-                    f" table_entries={stats.table_entries}"
-                )
-            print(line)
+            print(_stats_line(elapsed_ms, stats))
     return 0 if ranked else 1
 
 

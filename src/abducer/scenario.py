@@ -20,27 +20,40 @@ culprit is never an effect.  Together with the acyclic causal+isa union this
 keeps every valid scenario realizable as an arborescence in the search
 graph, which the solver relies on.
 
-Some links can be ruled out per culprit before any scenario is built.
-``shadowed_links(net, r)`` holds the links ``x -> y`` with ``x`` a proper
-isa ancestor of ``r`` that are preempted at every point they could attach
-at: at ``r`` itself and at every specialization of ``x`` that is reachable
-from ``r`` and is no ancestor of ``r``, some ``u`` with ``p isa* u isa+ x``
-has a link ``u -> y``, and no ``u'`` with ``p isa* u' isa+ u`` has a link
-``u' -> y`` or ``u' -> u``.  No valid scenario rooted at ``r`` holds such a
-link.  Every participant descends from ``r`` through the cause+isa union, so
-by acyclicity ``r`` is always maximally specific and its proper ancestors
-never are; ``x -> y`` can thus only attach at one of the points tested.
-There ``u -> y`` is a candidate alternative that nothing more specific can
-preempt, and it is never already placed, because then ``y`` would be caused
-twice, which ``is_valid_scenario`` rejects before it searches.  So
+Some links can be ruled out per culprit before any scenario is built.  The
+attach points of ``x`` below ``r`` are the events ``p != x`` with
+``p isa* x`` that ``r`` reaches through the cause+isa union and that are no
+proper isa ancestor of ``r``.  A link ``x -> y`` is shadowed below ``r``
+(``shadowed_below``) when at every attach point ``p`` some ``u`` with
+``p isa* u isa+ x`` has a link ``u -> y``, and no ``u'`` with
+``p isa* u' isa+ u`` has a link ``u' -> y`` or ``u' -> u``.
+
+No valid scenario rooted at ``r`` holds a shadowed ``x -> y`` in which ``x``
+is never a maximally specific participant.  Every participant descends
+from ``r`` through the cause+isa union, so by acyclicity ``r`` is always
+maximally specific and its proper ancestors never are.  As ``x`` is never
+maximal, ``x -> y`` attaches at a maximal participant ``p != x`` that
+specializes ``x``: an attach point.  There ``u -> y`` is a candidate
+alternative that nothing more specific can preempt, and it is never
+already placed, because then ``y`` would be caused twice, which
+``is_valid_scenario`` rejects before it searches.  So
 ``preempting_alternative`` returns ``u -> y`` or an earlier alternative.
+
+``x`` is never maximal in two cases.  (a) ``x`` is a proper isa ancestor of
+``r``, which stays a participant below it; ``shadowed_links(net, r)``
+collects these links, and no valid scenario rooted at ``r`` holds one.
+(b) ``x`` is neither the culprit nor an effect, as in every scenario of a
+tree that enters ``x`` by an isa edge.  Then ``x`` joins the participants
+only through its own out-links.  The first of them hangs off a strict
+specialization of ``x``, since ``x`` is no participant yet, and that
+specialization stays a participant below ``x``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .errors import (
     InvalidScenarioError,
@@ -115,19 +128,9 @@ def participants(net: CausalNetwork, s: Scenario) -> frozenset[EventId]:
     return frozenset(out)
 
 
-def _maximally_specific(net: CausalNetwork, parts: Iterable[EventId]) -> list[EventId]:
-    """Participants with no other participant strictly below them."""
-    ps = sorted(parts)
-    return [
-        p
-        for p in ps
-        if not any(q != p and p in net.isa_star(q) for q in ps)
-    ]
-
-
 def preempting_alternative(
     net: CausalNetwork,
-    placed: frozenset[Link],
+    placed: AbstractSet[Link],
     caused: frozenset[EventId],
     p: EventId,
     x: EventId,
@@ -169,30 +172,41 @@ def _shadowed_at(net: CausalNetwork, p: EventId, x: EventId, y: EventId) -> bool
     return False
 
 
-def shadowed_links(net: CausalNetwork, root: EventId) -> frozenset[Link]:
-    """Links from proper isa ancestors of root that no valid scenario rooted
-    at root can hold (see the module docstring).
+def shadowed_below(
+    net: CausalNetwork,
+    root: EventId,
+    x: EventId,
+    reach: Callable[[EventId], frozenset[EventId]] | None = None,
+) -> frozenset[Link]:
+    """The links x -> y shadowed below root (see the module docstring).
 
-    The events reachable from root are searched once, and only when some
-    link passes the test at root itself.
+    ``reach(root)`` gives the events root reaches (``reachable`` when not
+    given); it is asked only once some link passes the test at root itself
+    or x is off root's climb.
     """
+    if x == root:
+        # The culprit is always maximal, so the rule never covers its links.
+        return frozenset()
     climb = net.isa_star(root)
-    others: set[EventId] | None = None
-    out = []
-    for x in sorted(climb):
-        if x == root:
-            continue
-        for y in net.effects_of(x):
-            if not _shadowed_at(net, root, x, y):
-                continue
-            if others is None:
-                others = _reachable(net, root) - climb
-            if all(x not in net.isa_star(p) or _shadowed_at(net, p, x, y) for p in others):
-                out.append((x, y))
-    return frozenset(out)
+    ys = net.effects_of(x)
+    if x in climb:
+        ys = [y for y in ys if _shadowed_at(net, root, x, y)]
+    if ys:
+        for p in reach(root) if reach is not None else reachable(net, root):
+            if p != x and p not in climb and x in net.isa_star(p):
+                ys = [y for y in ys if _shadowed_at(net, p, x, y)]
+                if not ys:
+                    break
+    return frozenset((x, y) for y in ys)
 
 
-def _reachable(net: CausalNetwork, root: EventId) -> set[EventId]:
+def shadowed_links(net: CausalNetwork, root: EventId) -> frozenset[Link]:
+    """The links from root's proper isa ancestors that are shadowed below
+    root; no valid scenario rooted at root holds one."""
+    return frozenset().union(*(shadowed_below(net, root, x) for x in net.isa_star(root)))
+
+
+def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
     """Events reachable from root by causal and isa links."""
     seen = {root}
     todo = [root]
@@ -202,7 +216,7 @@ def _reachable(net: CausalNetwork, root: EventId) -> set[EventId]:
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
-    return seen
+    return frozenset(seen)
 
 
 def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> ValidityResult:
@@ -231,52 +245,84 @@ def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> Validit
 
     caused = frozenset(effects) | {s.culprit}
     total = len(links)
+    # Every participant the search can meet is an endpoint or the culprit,
+    # so the attach points of each link and the strictly-below relation
+    # are fixed once; a search level then costs O(unplaced links).
+    star = {p: net.isa_star(p) for p in sorted(caused.union([x for x, _ in links]))}
+    below: dict[EventId, list[EventId]] = {}
+    for q, ups in star.items():
+        if len(ups) > 1:
+            for p in ups:
+                if p != q and p in star:
+                    below.setdefault(p, []).append(q)
+    attach = {link: [p for p, ups in star.items() if link[0] in ups] for link in links}
     dead: set[frozenset[Link]] = set()
     first_failure: list[str] = []
 
-    def dfs(placed: frozenset[Link], steps: list[AttachStep]) -> bool:
-        if len(placed) == total:
-            return True
-        if placed in dead:
-            return False
-        parts = {s.culprit}
-        for x, y in placed:
-            parts.add(x)
-            parts.add(y)
-        maxs = _maximally_specific(net, parts)
+    # The links placed so far, and how many of them (or the culprit role)
+    # make each event a participant; the search adds and removes one link
+    # at a time, and only a dead end is frozen into the memo.
+    placed: set[Link] = set()
+    parts: dict[EventId, int] = {s.culprit: 1}
+
+    def enter() -> list:
+        """A search frame: [(link, maximal participant) options, next index]."""
+        maximal: dict[EventId, bool] = {}
         options: list[tuple[Link, EventId]] = []
         for link in links:
             if link in placed:
                 continue
-            for p in maxs:
-                if link[0] in net.isa_star(p):
-                    options.append((link, p))
+            for p in attach[link]:
+                if p in parts:
+                    m = maximal.get(p)
+                    if m is None:
+                        m = maximal[p] = p not in below or parts.keys().isdisjoint(below[p])
+                    if m:
+                        options.append((link, p))
         if _shuffle is not None:
             _shuffle.shuffle(options)
-        for link, p in options:
+        if not options and not first_failure:
+            missing = next(l for l in links if l not in placed)
+            first_failure.append(f"unattachable: no participant specializes {missing[0]}")
+        return [options, 0]
+
+    steps: list[AttachStep] = []
+    stack = [enter()]
+    while stack:
+        frame = stack[-1]
+        options, i = frame
+        while i < len(options):
+            link, p = options[i]
+            i += 1
             x, y = link
             blocker = preempting_alternative(net, placed, caused, p, x, y)
             if blocker is not None:
                 if not first_failure:
-                    first_failure.append(
-                        f"preempted: {x}->{y} by {blocker[0]}->{blocker[1]}"
-                    )
+                    first_failure.append(f"preempted: {x}->{y} by {blocker[0]}->{blocker[1]}")
+                continue
+            if len(placed) + 1 == total:
+                steps.append(AttachStep(p, x, link, y))
+                return ValidityResult(True, ValidityCertificate(tuple(steps)))
+            placed.add(link)
+            if dead and frozenset(placed) in dead:
+                placed.remove(link)
                 continue
             steps.append(AttachStep(p, x, link, y))
-            if dfs(placed | {link}, steps):
-                return True
-            steps.pop()
-        if not options and not first_failure:
-            missing = next(l for l in links if l not in placed)
-            first_failure.append(
-                f"unattachable: no participant specializes {missing[0]}"
-            )
-        dead.add(placed)
-        return False
-
-    steps: list[AttachStep] = []
-    if dfs(frozenset(), steps):
-        return ValidityResult(True, ValidityCertificate(tuple(steps)))
+            for v in link:
+                parts[v] = parts.get(v, 0) + 1
+            frame[1] = i
+            stack.append(enter())
+            break
+        else:
+            dead.add(frozenset(placed))
+            stack.pop()
+            if stack:
+                link = steps.pop().added_link
+                placed.remove(link)
+                for v in link:
+                    parts[v] -= 1
+                    if not parts[v]:
+                        del parts[v]
     reason = first_failure[0] if first_failure else "no attachment order exists"
     return ValidityResult(False, reason=reason)
 

@@ -26,12 +26,16 @@ nothing to its scenario.  When the DP returns one, its subspace is
 replaced by a repair partition of that subspace's clean trees, solved
 lazily like every other Lawler child (see ``_CandidateStream``).
 
-Links that a root's own isa climb shadows (``scenario.shadowed_links``) are
-never offered: they start out forbidden in that root's subspace, since no
-valid scenario rooted there holds one.  A root whose tree from the shared
-base DP uses one waits as the Lawler child that forbids them all.  The
-validity check stays on every tree, because a link can still be preempted
-in one scenario and not in another.
+Shadowed links (``scenario.shadowed_below``) are never offered.  Those
+out of a root's own isa ancestors start out forbidden in that root's
+subspace, since no valid scenario rooted there holds one; a root whose
+tree from the shared base DP uses one waits as the Lawler child that
+forbids them all.  Those out of any other event x matter only in trees
+that enter x by an isa edge, whose scenarios never make x a maximal
+participant; a second repair partition replaces a tree that holds one by
+the children that either forbid the link or force it and forbid x's isa
+in-edges.  The validity check stays on every tree, because a link can
+still be preempted in one scenario and not in another.
 
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
@@ -60,7 +64,8 @@ from .scenario import (
     log_weight,
     participants,
     raw_probability,
-    shadowed_links,
+    reachable,
+    shadowed_below,
 )
 
 MAX_TERMINALS = 20
@@ -85,9 +90,13 @@ class WeightedSearchGraph:
 
     ``in_edges`` lists each node's in-edges lightest first, ties broken by
     source; ``out_edges`` lists each node's out-edges by head.
+    ``free_in_adj`` holds the in-edge filter of the problems that force
+    and forbid nothing, shared by all of them (see ``_Problem``).
     """
 
-    __slots__ = ("nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges")
+    __slots__ = (
+        "nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges", "free_in_adj",
+    )
 
     def __init__(
         self,
@@ -109,6 +118,7 @@ class WeightedSearchGraph:
             v: tuple(sorted(es, key=lambda e: (e.weight, e.src))) for v, es in ins.items()
         }
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
+        self.free_in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
 
 def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
     """Causal edges ln(1/p), isa edges 0, disorder node weights ln(1/prior)."""
@@ -176,7 +186,9 @@ class _Problem:
     chain's other members to it, and every other node is its own super
     node.  A super node's in-edges are filtered from the graph's on first
     use: forbidden edges and edges from its own component are dropped, and
-    only the first (lightest) edge from each super source is kept.
+    only the first (lightest) edge from each super source is kept.  A
+    problem that forces and forbids nothing filters the same way as every
+    other such problem on its graph, so they share the graph's lists.
     """
 
     __slots__ = ("g", "forbidden", "super_of", "term_nodes", "forced_edges", "terminals", "in_adj")
@@ -188,7 +200,9 @@ class _Problem:
         self.term_nodes = term_nodes
         self.forced_edges = forced_edges
         self.terminals = terminals
-        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
+        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = (
+            {} if forbidden or super_of else g.free_in_adj
+        )
 
     def in_edges(self, v: str) -> list[tuple[float, str, GraphEdge]]:
         """(weight, super source, edge) for the edges into super node v."""
@@ -220,16 +234,22 @@ def _build_problem(
         head_of[e.dst] = e
     if root in head_of:
         return None
+    # Each chain's top is found once: a walk stops at the first node whose
+    # top is known and hands that top to every node it crossed.
     super_of: dict[str, str] = {}
     for v in head_of:
-        seen = {v}
+        path = []
+        on_path = set()
         u = v
-        while u in head_of:
-            u = head_of[u].src
-            if u in seen:
+        while u in head_of and u not in super_of:
+            if u in on_path:
                 return None
-            seen.add(u)
-        super_of[v] = u
+            path.append(u)
+            on_path.add(u)
+            u = head_of[u].src
+        top = super_of.get(u, u)
+        for w in path:
+            super_of[w] = top
 
     # The root's own bit costs nothing (its base entry is zero), so it is no
     # terminal node; every forced prefix contracts into it.
@@ -477,12 +497,29 @@ class _CandidateStream:
     scenario when isa routes join (an isa diamond), which is why
     ``explain`` keeps its ``seen`` set.
 
-    ``shadowed(r)``, when given, names edge keys that no tree rooted at r
-    may use; they are r's initial forbidden keys, so every child of r
-    forbids them too.  A root whose base tree uses one is not pushed; it
-    waits as the child (F = {}, X = shadowed(r)) under its base weight
-    less ``WEIGHT_TIE_TOL``.  The stream then yields the unconstrained
-    stream's trees minus those that use a shadowed key, in the same order.
+    ``shadowed(r, x)``, when given, names the causal edges out of x that
+    no tree rooted at r may hold where x is never a maximal participant
+    (``scenario.shadowed_below``).  For the proper isa ancestors x of r
+    that is every tree, so their edges are r's initial forbidden keys and
+    every child of r forbids them too.  A root whose base tree uses one is
+    not pushed; it waits as the child (F = {}, X = banned(r)) under its
+    base weight less ``WEIGHT_TIE_TOL``.
+
+    Off r's climb, the rule holds for the trees that enter x by an isa
+    edge, which a second repair enforces on clean popped trees.  Let
+    g = x->y be the first causal edge, in T's BFS order, whose source T
+    enters by isa and which ``shadowed(r, x)`` names.  The children, both
+    deferred under ``(w(T) - WEIGHT_TIE_TOL, -1)``, are (F, X + g) unless g
+    is forced, and (F + g, X + the isa in-edges of x) unless one of those
+    is forced.  A tree of (F, X) that neither child holds contains g and
+    enters x by isa, so it is never valid; every other tree lies in
+    exactly one child, and each child adds a key.  No tree of r holds a
+    rule edge out of r's climb, so the repair skips x there.  The stream
+    then yields the unconstrained stream's trees minus those that hold a
+    rule edge out of r's climb or out of an event they enter by isa, in
+    the same order with the same weights.  ``explain`` and
+    ``best_valid_tree`` pass ``_shadow_rule``, which computes each (r, x)
+    once.
     """
 
     def __init__(
@@ -491,9 +528,11 @@ class _CandidateStream:
         roots: Iterable[str],
         terminals: Iterable[str],
         stats: SolveStats | None = None,
-        shadowed: Callable[[str], frozenset[EdgeKey]] | None = None,
+        shadowed: Callable[[str, str], frozenset[EdgeKey]] | None = None,
     ):
         self.g = g
+        self.shadowed = shadowed
+        self._climbs: dict[str, set[str]] = {}
         self.terminals = tuple(sorted(set(terminals)))
         self._term_set = frozenset(self.terminals)
         self.stats = stats
@@ -512,7 +551,7 @@ class _CandidateStream:
                 tree = None
             if tree is None:
                 continue
-            banned = shadowed(r) if shadowed is not None else frozenset()
+            banned = self._banned(r)
             if any(e.key in banned for e in tree.edges):
                 lb = self._root_weight(r) + tree.total_weight - WEIGHT_TIE_TOL
                 self._defer(lb, r, frozenset(), banned)
@@ -521,6 +560,22 @@ class _CandidateStream:
 
     def _root_weight(self, root: str) -> float:
         return self.g.node_weight.get(root, 0.0)
+
+    def _banned(self, root: str) -> frozenset[EdgeKey]:
+        """The rule edges out of root's proper isa ancestors; records root's
+        climb for ``_unshadow``."""
+        if self.shadowed is None:
+            return frozenset()
+        climb = self._climbs[root] = {root}
+        todo = [root]
+        banned: set[EdgeKey] = set()
+        while todo:
+            for e in self.g.out_edges.get(todo.pop(), ()):
+                if e.kind == "isa" and e.dst not in climb:
+                    climb.add(e.dst)
+                    todo.append(e.dst)
+                    banned |= self.shadowed(root, e.dst)
+        return frozenset(banned)
 
     def _extension_edges(self, root: str) -> tuple[GraphEdge, ...]:
         """The causal edges whose source root reaches, in key order."""
@@ -580,6 +635,26 @@ class _CandidateStream:
             skipped.add(out.key)
         return True
 
+    def _unshadow(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
+        """Replace a clean tree's subspace by children without its first
+        rule edge from an event entered by isa; False, with nothing
+        deferred, when it holds none."""
+        if self.shadowed is None:
+            return False
+        climb = self._climbs[root]
+        entered = {e.dst for e in tree.edges if e.kind == "isa" and e.dst not in climb}
+        for g_edge in tree.edges:
+            if g_edge.src in entered and g_edge.kind == "cause" and g_edge.key in self.shadowed(root, g_edge.src):
+                break
+        else:
+            return False
+        if g_edge.key not in forced:
+            self._defer(lb, root, forced, forbidden | {g_edge.key})
+        isa_in = {e.key for e in self.g.in_edges.get(g_edge.src, ()) if e.kind == "isa"}
+        if isa_in.isdisjoint(forced):
+            self._defer(lb, root, forced | {g_edge.key}, forbidden | isa_in)
+        return True
+
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
@@ -587,7 +662,9 @@ class _CandidateStream:
                 self._solve_child(root, forced, forbidden, tree)
                 continue
             lb = key[0] - WEIGHT_TIE_TOL
-            if self._repair(lb, root, forced, forbidden, tree):
+            if self._repair(lb, root, forced, forbidden, tree) or self._unshadow(
+                lb, root, forced, forbidden, tree
+            ):
                 continue
             yield key[0], root, tree
 
@@ -611,6 +688,27 @@ class _CandidateStream:
                 sup_forbidden.add(f)
 
 
+def _shadow_rule(net: CausalNetwork) -> Callable[[str, str], frozenset[EdgeKey]]:
+    """``scenario.shadowed_below`` on net, computed once per (root, x) and
+    finding each root's reachable events at most once."""
+    reached: dict[str, frozenset[EventId]] = {}
+    memo: dict[tuple[str, str], frozenset[EdgeKey]] = {}
+
+    def reach(root: str) -> frozenset[EventId]:
+        got = reached.get(root)
+        if got is None:
+            got = reached[root] = reachable(net, root)
+        return got
+
+    def rule(root: str, x: str) -> frozenset[EdgeKey]:
+        got = memo.get((root, x))
+        if got is None:
+            got = memo[(root, x)] = shadowed_below(net, root, x, reach)
+        return got
+
+    return rule
+
+
 def best_valid_tree(
     net: CausalNetwork,
     g: WeightedSearchGraph,
@@ -619,10 +717,9 @@ def best_valid_tree(
     stats: SolveStats | None = None,
 ) -> tuple[SteinerTree, Scenario] | None:
     """Lightest tree rooted at root whose scenario is valid and covers
-    the terminals as participants; links shadowed at root are never
-    offered."""
+    the terminals as participants; shadowed links are never offered."""
     terms = frozenset(terminals)
-    for w, r, tree in _CandidateStream(g, [root], terms, stats, lambda r: shadowed_links(net, r)):
+    for w, r, tree in _CandidateStream(g, [root], terms, stats, _shadow_rule(net)):
         scenario = tree_to_scenario(net, tree)
         if terms <= participants(net, scenario) and is_valid_scenario(net, scenario):
             return tree, scenario
@@ -640,7 +737,7 @@ def explain(
 
     Single mode roots the search at each disorder; multi mode augments the
     network with the distinguished root event and explains through it.
-    Links that the root's isa climb shadows are never offered.
+    Shadowed links are never offered.
     Fewer than k results are returned when fewer explanations exist.
     """
     obs = frozenset(observations)
@@ -661,9 +758,7 @@ def explain(
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
     kth = math.inf
-    # The distinguished root has no proper isa ancestor, so nothing is
-    # shadowed in multi mode.
-    for w, root, tree in _CandidateStream(g, roots, obs, stats, lambda r: shadowed_links(work, r)):
+    for w, root, tree in _CandidateStream(g, roots, obs, stats, _shadow_rule(work)):
         if len(found) >= k and w > kth + WEIGHT_TIE_TOL:
             break
         scenario = tree_to_scenario(work, tree)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -19,7 +20,8 @@ from abducer import (
     participants,
     probability,
 )
-from abducer.scenario import raw_probability, shadowed_links
+from abducer.kb import TOP_NAME
+from abducer.scenario import raw_probability, shadowed_below, shadowed_links
 from abducer.synth import random_network
 
 from strategies import seeds, tiny_networks
@@ -106,6 +108,24 @@ class TestCertificates:
         for s in enumerate_valid_scenarios(net, 3):
             verdict = is_valid_scenario(net, s)
             self.replay(net, s, verdict.certificate)
+
+
+class TestLongScenarios:
+    def test_1500_link_chain_is_searched_without_recursion(self):
+        n = 1500
+        net = parse_network(
+            "event e0 prior=0.5 disorder\n"
+            + "".join(f"event e{i}\n" for i in range(1, n))
+            + "".join(f"cause e{i} e{i + 1} p=0.9\n" for i in range(n - 1))
+        )
+        links = [(f"e{i}", f"e{i + 1}") for i in range(n - 1)]
+        verdict = is_valid_scenario(net, Scenario.make("e0", links))
+        assert verdict
+        assert [step.added_link for step in verdict.certificate.steps] == links
+        broken = is_valid_scenario(net, Scenario.make("e0", links[:700] + links[701:]))
+        assert not broken
+        # Links are tried in sorted order, so "e1000" is the first missing.
+        assert broken.reason == "unattachable: no participant specializes e1000"
 
 
 class TestParticipants:
@@ -247,6 +267,20 @@ class TestMonotonicity:
                 assert probability(net, s) == raw_probability(net, s)
 
 
+SWEEP_SHAPES = ((6, 9, 6), (7, 11, 8), (8, 12, 6), (6, 8, 9), (7, 9, 10))
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_scenarios(shape, seed):
+    """Every valid scenario of a seeded random network, plain and with the
+    distinguished root, as ((network, scenarios), (network, scenarios))."""
+    net = random_network(random.Random(seed), *shape)
+    return tuple(
+        (work, tuple(enumerate_valid_scenarios(work, len(work.causal))))
+        for work in (net, add_top(net))
+    )
+
+
 class TestShadowedLinks:
     def test_fig2(self, fig2):
         # d isa b isa a: a->e gives way to b->e at d, and neither other
@@ -257,17 +291,50 @@ class TestShadowedLinks:
 
     def test_no_valid_scenario_holds_a_shadowed_link(self):
         checked = 0
-        for shape in ((6, 9, 6), (7, 11, 8), (8, 12, 6), (6, 8, 9)):
+        for shape in SWEEP_SHAPES[:4]:
             for seed in range(100):
-                net = random_network(random.Random(seed), *shape)
-                for work in (net, add_top(net)):
+                for work, valid in _valid_scenarios(shape, seed):
                     shadowed = {}
-                    for s in enumerate_valid_scenarios(work, len(work.causal)):
+                    for s in valid:
                         if s.culprit not in shadowed:
                             shadowed[s.culprit] = shadowed_links(work, s.culprit)
                         assert not s.causations & shadowed[s.culprit], (shape, seed, s)
                         checked += bool(shadowed[s.culprit])
         assert checked > 1000
+
+    def test_no_valid_scenario_holds_a_link_shadowed_below_it(self):
+        # A link whose cause is neither the culprit nor an effect hangs off
+        # a strict specialization of its cause, so the rule applies to it.
+        checked = scenarios = 0
+        for shape in SWEEP_SHAPES:
+            for seed in range(100):
+                for work, valid in _valid_scenarios(shape, seed):
+                    for s in valid:
+                        scenarios += 1
+                        effects = {y for _, y in s.causations}
+                        for x, y in s.causations:
+                            if x == s.culprit or x in effects:
+                                continue
+                            rule = shadowed_below(work, s.culprit, x)
+                            assert (x, y) not in rule, (shape, seed, s)
+                            checked += bool(rule)
+        assert scenarios > 25000
+        assert checked > 500
+
+    def test_isa_entered_cause_below_the_distinguished_root(self):
+        # TOP -> d isa b isa a: at d and at b, b->e is an alternative to a->e
+        # that nothing more specific preempts, so a->e is shadowed below
+        # TOP; b->e is not, and neither is anything in TOP's (empty) climb.
+        net = add_top(
+            parse_network(
+                "event d prior=0.5 disorder\nevent b\nevent a\nevent e\n"
+                "isa d b\nisa b a\ncause a e p=0.9\ncause b e p=0.3\n"
+            )
+        )
+        assert shadowed_below(net, TOP_NAME, "a") == {("a", "e")}
+        assert shadowed_below(net, TOP_NAME, "b") == frozenset()
+        assert shadowed_links(net, TOP_NAME) == frozenset()
+        assert not is_valid_scenario(net, scen(TOP_NAME, (TOP_NAME, "d"), ("a", "e")))
 
     def test_reachable_specialization_keeps_the_link(self):
         # r->y shadows x->y at r, but r->s makes s a participant that

@@ -26,8 +26,8 @@ from abducer import (
     tree_to_scenario,
 )
 from abducer.kb import TOP_NAME
-from abducer.scenario import log_weight, participants, shadowed_links
-from abducer.solver import _canonicalize, _CandidateStream, best_valid_tree
+from abducer.scenario import log_weight, participants, shadowed_below, shadowed_links
+from abducer.solver import _build_problem, _canonicalize, _CandidateStream, best_valid_tree
 from abducer.synth import (
     complexity_network,
     random_network,
@@ -183,6 +183,47 @@ class TestConstraints:
         g = WeightedSearchGraph(["r", "a", "b"], edges, {})
         tree, _ = steiner_dp(g, "r", ["a"], forced=[("a", "b"), ("b", "a")])
         assert tree is None
+
+    def test_forced_chain_tops_match_a_walk_from_every_head(self):
+        # _build_problem finds each forced chain's top once; super_of must
+        # be what a walk from every head finds, and None must come exactly
+        # for two forced parents, a forced edge into the root or a cycle.
+        def naive(root, forced):
+            head_of = {}
+            for src, dst in sorted(forced):
+                if dst in head_of:
+                    return None
+                head_of[dst] = src
+            if root in head_of:
+                return None
+            tops = {}
+            for v in head_of:
+                seen = {v}
+                u = v
+                while u in head_of:
+                    u = head_of[u]
+                    if u in seen:
+                        return None
+                    seen.add(u)
+                tops[v] = u
+            return tops
+
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            nodes = [f"n{i}" for i in range(rng.randint(2, 14))]
+            root = rng.choice(nodes)
+            forced = set()
+            for v in nodes:
+                parents = int(rng.random() < (0.03 if v == root else 0.7)) + int(rng.random() < 0.03)
+                for _ in range(parents):
+                    forced.add((rng.choice([u for u in nodes if u != v]), v))
+            g = WeightedSearchGraph(nodes, [GraphEdge(u, v, 1.0, "cause") for u, v in forced], {})
+            problem = _build_problem(g, root, (), frozenset(forced), frozenset())
+            want = naive(root, forced)
+            assert (None if problem is None else problem.super_of) == want, seed
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 def _arborescences(g, root, forced=frozenset(), forbidden=frozenset()):
@@ -349,6 +390,19 @@ def _is_clean(tree, terminals):
     return True
 
 
+def _holds_rule_link(net, root, edges, climb_only=False):
+    """Some causal edge x->y is shadowed below root, and x lies on root's
+    climb or (unless climb_only) the tree enters x by an isa edge."""
+    climb = net.isa_star(root)
+    entered = set() if climb_only else {e.dst for e in edges if e.kind == "isa"}
+    return any(
+        e.kind == "cause"
+        and (e.src in climb or e.src in entered)
+        and e.key in shadowed_below(net, root, e.src)
+        for e in edges
+    )
+
+
 def _stream_items(g, roots, terminals, limit=None):
     stream = itertools.islice(_CandidateStream(g, roots, terminals), limit)
     return [
@@ -450,13 +504,39 @@ class TestCandidateStream:
             shadowed = {r: shadowed_links(net, r) for r in net.disorders}
             plain = [(w, r, t.edges) for w, r, t in _CandidateStream(g, net.disorders, terms)]
             want = [i for i in plain if not any(e.key in shadowed[i[1]] for e in i[2])]
+            rule = lambda r, x: frozenset(k for k in shadowed[r] if k[0] == x)
             got = [
                 (w, r, t.edges)
-                for w, r, t in _CandidateStream(g, net.disorders, terms, shadowed=shadowed.get)
+                for w, r, t in _CandidateStream(g, net.disorders, terms, shadowed=rule)
             ]
             assert got == want, seed
             dropped += len(plain) - len(want)
         assert dropped > 100
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_the_rule_drops_only_the_trees_that_hold_a_rule_link(self, multi):
+        # With the full rule the stream yields the unconstrained stream
+        # minus the trees that hold a shadowed link out of the root's climb
+        # or out of an event they enter by isa, in order, weights included.
+        below = 0
+        for seed in range(400):
+            net = random_network(random.Random(seed), max_events=8, max_causal=10, max_isa=8)
+            terms = frozenset(sorted({l.effect for l in net.causal})[:2])
+            if not terms or not net.disorders:
+                continue
+            work = add_top(net) if multi else net
+            roots = [TOP_NAME] if multi else list(net.disorders)
+            g = build_search_graph(work)
+            rule = lambda r, x: shadowed_below(work, r, x)
+            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(g, roots, terms)]
+            want = [i for i in plain if not _holds_rule_link(work, *i[1:])]
+            got = [(w, r, t.edges) for w, r, t in _CandidateStream(g, roots, terms, shadowed=rule)]
+            assert got == want, seed
+            below += sum(
+                _holds_rule_link(work, r, es) and not _holds_rule_link(work, r, es, climb_only=True)
+                for _, r, es in plain
+            )
+        assert below > 50
 
     def test_terminal_crossed_by_isa_is_not_covered(self):
         # d isa x isa y -> w reaches both observations, but x is crossed
@@ -666,6 +746,22 @@ class TestShadowedLinks:
             assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
         assert stats.dp_runs <= 12
 
+    def test_multi_mode_drops_the_links_below_the_distinguished_root(self):
+        # TOP has no proper isa ancestor, but a tree that climbs e0 isa e1
+        # isa e2 never makes e2 a maximal participant, so the general links
+        # of e2 are never offered below TOP (66 DPs when they were).
+        net = parse_network(SHADOW_NET)
+        aug = add_top(net)
+        assert ("e2", "e4") in shadowed_below(aug, TOP_NAME, "e2")
+        obs = ["e2", "e3", "e4"]
+        stats = SolveStats()
+        got = explain(net, obs, k=10, multi=True, stats=stats)
+        want = best_explanations_bruteforce(aug, obs, 10, culprit=TOP_NAME)
+        assert [r.scenario for r in got] == [r.scenario for r in want]
+        for g_, w_ in zip(got, want):
+            assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
+        assert stats.dp_runs <= 40
+
     def test_recognition_offers_only_the_relevant_statistics(self):
         # c isa b isa a, each with its own p=v statistic: only c's edge is
         # offered, so the search ends after the base DP and one child.
@@ -707,6 +803,29 @@ class TestExplainAgainstOracle:
                 continue
             got = explain(net, obs, k=10)
             want = best_explanations_bruteforce(net, obs, 10)
+            assert [r.scenario for r in got] == [r.scenario for r in want], seed
+            for g_, w_ in zip(got, want):
+                assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
+            compared += 1
+            if compared == 60:
+                break
+
+    def test_multi_mode_where_links_are_shadowed_below_the_root(self):
+        # The first 60 isa-heavy seeded networks where some event that a
+        # tree can enter by isa has links shadowed below the distinguished
+        # root.
+        compared = 0
+        for seed in itertools.count():
+            rng = random.Random(seed)
+            net = random_network(rng, max_events=8, max_causal=12, max_isa=10)
+            obs = random_observations(rng, net)
+            if not obs or not net.disorders:
+                continue
+            aug = add_top(net)
+            if not any(shadowed_below(aug, TOP_NAME, l.parent) for l in aug.isa):
+                continue
+            got = explain(net, obs, k=10, multi=True)
+            want = best_explanations_bruteforce(aug, obs, 10, culprit=TOP_NAME)
             assert [r.scenario for r in got] == [r.scenario for r in want], seed
             for g_, w_ in zip(got, want):
                 assert g_.log_weight == pytest.approx(w_.log_weight, abs=1e-9)
