@@ -6,140 +6,90 @@ and the best explanations of an observation set are found either by an
 exhaustive oracle or by a Steiner-tree dynamic program with k-best
 enumeration.  A recognition layer maps concept taxonomies with instance
 counts onto the same machinery.
+
+The public names are loaded on first use (PEP 562): ``import abducer``
+runs no submodule, and ``abducer.explain`` imports only ``abducer.solver``
+and what it needs.
 """
 
-from .errors import (
-    AbducerError,
-    AmbiguousReferenceClassError,
-    CountExceedsParentError,
-    DuplicateDeclarationError,
-    InconsistentConstraintsError,
-    InvalidScenarioError,
-    IsaCycleError,
-    MalformedTreeError,
-    MissingDisorderPriorError,
-    MissingPriorError,
-    NetworkTooLargeError,
-    NoRelevantConceptError,
-    ParseError,
-    ProbabilityOutOfRangeError,
-    ReservedNameError,
-    TooManyTerminalsError,
-    UnionCycleError,
-    UnknownConceptError,
-    UnknownEventError,
-    UnknownLinkError,
-    UnknownPropertyValueError,
-)
-from .kb import (
-    CausalLink,
-    CausalNetwork,
-    EventNode,
-    IsaLink,
-    TOP_NAME,
-    add_top,
-    isa_ancestors,
-    parse_network,
-    serialize_network,
-)
-from .oracle import (
-    RankedExplanation,
-    best_explanations_bruteforce,
-    enumerate_valid_scenarios,
-)
-from .recognition import (
-    Concept,
-    PropertySpec,
-    RecognitionKB,
-    RecognitionQuery,
-    RecognitionResult,
-    parse_recognition_kb,
-    recognize,
-    relevant_concept,
-    serialize_recognition_kb,
-    shastri_score,
-)
-from .scenario import (
-    Scenario,
-    ValidityResult,
-    is_explanation,
-    is_valid_scenario,
-    log_weight,
-    participants,
-    probability,
-)
-from .solver import (
-    DPTable,
-    GraphEdge,
-    SolveStats,
-    SteinerTree,
-    WeightedSearchGraph,
-    build_search_graph,
-    explain,
-    steiner_dp,
-    tree_to_scenario,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbducerError",
-    "AmbiguousReferenceClassError",
-    "CausalLink",
-    "CausalNetwork",
-    "Concept",
-    "CountExceedsParentError",
-    "DPTable",
-    "DuplicateDeclarationError",
-    "EventNode",
-    "GraphEdge",
-    "InconsistentConstraintsError",
-    "InvalidScenarioError",
-    "IsaCycleError",
-    "IsaLink",
-    "MalformedTreeError",
-    "MissingDisorderPriorError",
-    "MissingPriorError",
-    "NetworkTooLargeError",
-    "NoRelevantConceptError",
-    "ParseError",
-    "ProbabilityOutOfRangeError",
-    "PropertySpec",
-    "RankedExplanation",
-    "RecognitionKB",
-    "RecognitionQuery",
-    "RecognitionResult",
-    "ReservedNameError",
-    "Scenario",
-    "SolveStats",
-    "SteinerTree",
-    "TOP_NAME",
-    "TooManyTerminalsError",
-    "UnionCycleError",
-    "UnknownConceptError",
-    "UnknownEventError",
-    "UnknownLinkError",
-    "UnknownPropertyValueError",
-    "ValidityResult",
-    "WeightedSearchGraph",
-    "add_top",
-    "best_explanations_bruteforce",
-    "build_search_graph",
-    "enumerate_valid_scenarios",
-    "explain",
-    "is_explanation",
-    "is_valid_scenario",
-    "isa_ancestors",
-    "log_weight",
-    "parse_network",
-    "parse_recognition_kb",
-    "participants",
-    "probability",
-    "recognize",
-    "relevant_concept",
-    "serialize_network",
-    "serialize_recognition_kb",
-    "shastri_score",
-    "steiner_dp",
-    "tree_to_scenario",
-]
+# Public name -> defining submodule.
+_EXPORTS = {
+    "AbducerError": "errors",
+    "AmbiguousReferenceClassError": "errors",
+    "CountExceedsParentError": "errors",
+    "DuplicateDeclarationError": "errors",
+    "InconsistentConstraintsError": "errors",
+    "InvalidScenarioError": "errors",
+    "IsaCycleError": "errors",
+    "MalformedTreeError": "errors",
+    "MissingDisorderPriorError": "errors",
+    "MissingPriorError": "errors",
+    "NetworkTooLargeError": "errors",
+    "NoRelevantConceptError": "errors",
+    "ParseError": "errors",
+    "ProbabilityOutOfRangeError": "errors",
+    "ReservedNameError": "errors",
+    "TooManyTerminalsError": "errors",
+    "UnionCycleError": "errors",
+    "UnknownConceptError": "errors",
+    "UnknownEventError": "errors",
+    "UnknownLinkError": "errors",
+    "UnknownPropertyValueError": "errors",
+    "CausalLink": "kb",
+    "CausalNetwork": "kb",
+    "EventNode": "kb",
+    "IsaLink": "kb",
+    "TOP_NAME": "kb",
+    "add_top": "kb",
+    "isa_ancestors": "kb",
+    "parse_network": "kb",
+    "serialize_network": "kb",
+    "RankedExplanation": "scenario",
+    "Scenario": "scenario",
+    "ValidityResult": "scenario",
+    "is_explanation": "scenario",
+    "is_valid_scenario": "scenario",
+    "log_weight": "scenario",
+    "participants": "scenario",
+    "probability": "scenario",
+    "DPTable": "solver",
+    "GraphEdge": "solver",
+    "SolveStats": "solver",
+    "SteinerTree": "solver",
+    "WeightedSearchGraph": "solver",
+    "build_search_graph": "solver",
+    "explain": "solver",
+    "steiner_dp": "solver",
+    "tree_to_scenario": "solver",
+    "best_explanations_bruteforce": "oracle",
+    "enumerate_valid_scenarios": "oracle",
+    "Concept": "recognition",
+    "PropertySpec": "recognition",
+    "RecognitionKB": "recognition",
+    "RecognitionQuery": "recognition",
+    "RecognitionResult": "recognition",
+    "parse_recognition_kb": "recognition",
+    "recognize": "recognition",
+    "relevant_concept": "recognition",
+    "serialize_recognition_kb": "recognition",
+    "shastri_score": "recognition",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,26 +4,28 @@ Subcommands: validate, explain, recognize, export-dot.  Exit codes are
 uniform across commands: 0 success with results, 1 success but nothing
 found, 2 bad input (parse or query errors), 3 I/O trouble, 4 internal
 error (a bug: any other exception, reported in one line).
+
+Only ``errors`` and ``kb`` load with this module; each subcommand imports
+the engine modules it calls, so a fresh ``validate`` or ``export-dot`` on a
+network never compiles the solver, the oracle or the recognition layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from .errors import AbducerError
 from .kb import CausalNetwork, parse_network
-from .oracle import RankedExplanation, best_explanations_bruteforce
-from .recognition import (
-    RecognitionQuery,
-    all_concept_ids,
-    parse_recognition_kb,
-    recognize,
-)
-from .solver import SolveStats, explain
+
+# Type checkers take this as true.  It stands in for typing.TYPE_CHECKING
+# so that a cold start does not load typing for annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .scenario import RankedExplanation
+    from .solver import SolveStats
 
 
 def _read(path: str) -> str:
@@ -48,6 +50,8 @@ def _result_row(r: RankedExplanation) -> dict:
 
 
 def _dump_json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -77,6 +81,8 @@ def _stats_line(elapsed_ms: float, stats: SolveStats) -> str:
 def cmd_validate(args: argparse.Namespace) -> int:
     text = _read(args.path)
     if args.path.endswith(".rkb"):
+        from .recognition import parse_recognition_kb
+
         kb = parse_recognition_kb(text)
         print(f"OK: {len(kb.concepts)} concepts, {len(kb.isa)} isa, {len(kb.specs)} specs")
     else:
@@ -88,7 +94,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.path))
     obs = _split_csv(args.obs, "--obs")
-    stats = SolveStats() if args.stats else None
+    if args.oracle:
+        from .oracle import best_explanations_bruteforce
+    else:
+        from .solver import explain
+    stats = None
+    if args.stats:
+        from .solver import SolveStats
+
+        stats = SolveStats()
     started = time.perf_counter()
     if args.oracle:
         results = best_explanations_bruteforce(net, obs, args.k, multi=args.multi)
@@ -124,6 +138,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
+    from .recognition import RecognitionQuery, all_concept_ids, parse_recognition_kb, recognize
+    from .solver import SolveStats
+
     kb = parse_recognition_kb(_read(args.path))
     if args.open_cset:
         cset = list(all_concept_ids(kb))

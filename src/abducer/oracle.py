@@ -8,56 +8,22 @@ it; a size guard refuses networks where the sweep would be hopeless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NetworkTooLargeError, UnknownEventError
 from .kb import CausalNetwork, EventId, add_top
 from .scenario import (
     Link,
+    RankedExplanation,
     Scenario,
     is_valid_scenario,
     log_weight,
+    order_and_rank,
     participants,
     raw_probability,
 )
 
 MAX_ORACLE_LINKS = 25
-
-WEIGHT_TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RankedExplanation:
-    rank: int
-    scenario: Scenario
-    log_weight: float
-    probability: float
-
-
-def structure_key(s: Scenario) -> tuple[int, tuple[Link, ...], EventId]:
-    """Deterministic tie order: fewer links, then link list, then culprit."""
-    return (len(s.causations), s.sorted_causations, s.culprit)
-
-
-def order_and_rank(
-    weighted: Iterable[tuple[Scenario, float, float]],
-    tol: float = WEIGHT_TIE_TOL,
-) -> list[RankedExplanation]:
-    """Sort by weight, breaking ties within tol by structure_key."""
-    items = sorted(weighted, key=lambda t: (t[1], structure_key(t[0])))
-    groups: list[list[tuple[Scenario, float, float]]] = []
-    for item in items:
-        if groups and item[1] - groups[-1][-1][1] <= tol:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    out: list[RankedExplanation] = []
-    for group in groups:
-        group.sort(key=lambda t: structure_key(t[0]))
-        for s, w, p in group:
-            out.append(RankedExplanation(len(out) + 1, s, w, p))
-    return out
 
 
 def enumerate_valid_scenarios(

@@ -1,4 +1,4 @@
-"""Scenario semantics: construction, validity, preemption and weight.
+"""Scenario semantics: construction, validity, preemption, weight and rank.
 
 A scenario pairs a culprit event with a set of causal links.  It is valid
 when the links can be attached one at a time: each link ``x -> y`` must hang
@@ -372,3 +372,39 @@ def log_weight(net: CausalNetwork, s: Scenario) -> float:
     for x, y in s.sorted_causations:
         w += math.log(1.0 / net.cond_prob(x, y))
     return w
+
+
+WEIGHT_TIE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class RankedExplanation:
+    rank: int
+    scenario: Scenario
+    log_weight: float
+    probability: float
+
+
+def structure_key(s: Scenario) -> tuple[int, tuple[Link, ...], EventId]:
+    """Deterministic tie order: fewer links, then link list, then culprit."""
+    return (len(s.causations), s.sorted_causations, s.culprit)
+
+
+def order_and_rank(
+    weighted: Iterable[tuple[Scenario, float, float]],
+    tol: float = WEIGHT_TIE_TOL,
+) -> list[RankedExplanation]:
+    """Sort by weight, breaking ties within tol by structure_key."""
+    items = sorted(weighted, key=lambda t: (t[1], structure_key(t[0])))
+    groups: list[list[tuple[Scenario, float, float]]] = []
+    for item in items:
+        if groups and item[1] - groups[-1][-1][1] <= tol:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    out: list[RankedExplanation] = []
+    for group in groups:
+        group.sort(key=lambda t: structure_key(t[0]))
+        for s, w, p in group:
+            out.append(RankedExplanation(len(out) + 1, s, w, p))
+    return out

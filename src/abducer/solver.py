@@ -57,11 +57,13 @@ from .errors import (
     UnknownEventError,
 )
 from .kb import CausalNetwork, EventId, add_top
-from .oracle import RankedExplanation, WEIGHT_TIE_TOL, order_and_rank
 from .scenario import (
+    WEIGHT_TIE_TOL,
+    RankedExplanation,
     Scenario,
     is_valid_scenario,
     log_weight,
+    order_and_rank,
     participants,
     raw_probability,
     reachable,

@@ -1,7 +1,10 @@
 """End-to-end checks through the argparse entry point.
 
-Everything goes through ``main(argv)`` so the tests cover exactly what a
-shell user gets, including exit codes and stream separation.
+Most checks go through ``main(argv)`` so the tests cover exactly what a
+shell user gets, including exit codes and stream separation.  The last
+classes start ``python -m abducer`` as a process: its output must match
+``main(argv)`` byte for byte, and it must load only the modules its
+subcommand uses.
 """
 
 import json
@@ -316,3 +319,68 @@ class TestLongChain:
         assert len(lines) == 2 + 10_000 + 9_999 + 1
         assert lines[-1] == "}"
         assert err == ""
+
+
+class TestFreshProcess:
+    CALLS = [
+        ("validate", "fig2"),
+        ("validate", "fruits"),
+        ("export-dot", "fig2"),
+        ("explain", "fig2", "--obs", "e,g", "--k", "3", "--json"),
+        ("explain", "fig2", "--obs", "e,g", "--k", "2", "--oracle", "--multi"),
+        ("recognize", "fruits", "--cset", "apple,grape", "--descr", "color=green,taste=sour"),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS, ids=" ".join)
+    def test_matches_in_process(self, run, fresh_python, fig2_path, fruits_path, call):
+        argv = [call[0], {"fig2": fig2_path, "fruits": fruits_path}[call[1]], *call[2:]]
+        code, out, _ = run(*argv)
+        proc = fresh_python("-m", "abducer", *map(str, argv))
+        assert proc.returncode == code
+        assert proc.stdout == out.encode()
+
+    def test_help(self, fresh_python):
+        proc = fresh_python("-m", "abducer", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: abducer")
+
+
+class TestImportGraph:
+    """What a new interpreter compiles for each kind of call.  Timing-free:
+    a module that is not in sys.modules was neither compiled nor run."""
+
+    BASE = {"abducer", "abducer.cli", "abducer.errors", "abducer.kb"}
+    MAIN = "from abducer.cli import main\nmain(sys.argv[1:])"
+
+    @staticmethod
+    def package(loaded: set[str]) -> set[str]:
+        return {m for m in loaded if m == "abducer" or m.startswith("abducer.")}
+
+    def test_import_package(self, modules_loaded_by):
+        assert self.package(modules_loaded_by("import abducer")) == {"abducer"}
+
+    def test_import_cli(self, modules_loaded_by):
+        assert self.package(modules_loaded_by("import abducer.cli")) == self.BASE
+
+    @pytest.mark.parametrize("command", ["validate", "export-dot"])
+    def test_network_commands_skip_the_engine(self, modules_loaded_by, fig2_path, command):
+        loaded = modules_loaded_by(self.MAIN, command, fig2_path)
+        assert self.package(loaded) == self.BASE
+        assert "json" not in loaded
+
+    def test_explain_skips_recognition_and_oracle(self, modules_loaded_by, fig2_path):
+        loaded = modules_loaded_by(self.MAIN, "explain", fig2_path, "--obs", "e,g")
+        assert self.package(loaded) == self.BASE | {"abducer.solver", "abducer.scenario"}
+        assert "json" not in loaded
+
+    def test_oracle_skips_solver(self, modules_loaded_by, fig2_path):
+        loaded = modules_loaded_by(self.MAIN, "explain", fig2_path, "--obs", "e,g", "--oracle")
+        assert self.package(loaded) == self.BASE | {"abducer.oracle", "abducer.scenario"}
+
+    def test_recognize_text_skips_json(self, modules_loaded_by, fruits_path):
+        loaded = modules_loaded_by(
+            self.MAIN, "recognize", fruits_path, "--cset", "apple", "--descr", "color=green"
+        )
+        assert "abducer.recognition" in loaded
+        assert "abducer.oracle" not in loaded
+        assert "json" not in loaded

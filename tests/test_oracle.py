@@ -22,13 +22,15 @@ from abducer import (
     parse_network,
 )
 from abducer.kb import TOP_NAME
-from abducer.oracle import (
-    MAX_ORACLE_LINKS,
+from abducer.oracle import MAX_ORACLE_LINKS
+from abducer.scenario import (
     WEIGHT_TIE_TOL,
+    log_weight,
     order_and_rank,
+    participants,
+    raw_probability,
     structure_key,
 )
-from abducer.scenario import log_weight, participants, raw_probability
 from abducer.synth import two_disorder_network
 
 from strategies import tiny_networks
