@@ -139,7 +139,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_recognize(args: argparse.Namespace) -> int:
     from .recognition import RecognitionQuery, all_concept_ids, parse_recognition_kb, recognize
-    from .solver import SolveStats
 
     kb = parse_recognition_kb(_read(args.path))
     if args.open_cset:
@@ -155,9 +154,14 @@ def cmd_recognize(args: argparse.Namespace) -> int:
             raise ValueError(f"bad description entry (want property=value): {tok}")
         descr.append((p, v))
 
-    stats = SolveStats() if args.stats else None
+    stats = None
+    if args.stats:
+        # Recognition runs no DP, so the counters read 0.
+        from .solver import SolveStats
+
+        stats = SolveStats()
     started = time.perf_counter()
-    rows = recognize(kb, RecognitionQuery.make(cset, descr), stats=stats)
+    rows = recognize(kb, RecognitionQuery.make(cset, descr))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     ranked = [r for r in rows if r.applicable]
 

@@ -6,10 +6,29 @@ have value v for property p).  Recognition maps this onto the diagnosis
 machinery: concepts become disorders with prior 1/#c, each distinct
 property value becomes a node "p=v", and a concept with #c[p,v] > 0 gets
 a causal edge to that node with conditional probability #c[p,v]/#c.
-Finding the candidate concept that best explains a description is then
-the usual lightest-valid-tree search, and its weight equals
--ln(#c * prod(#c_p[p,v]/#c_p)) taken over the relevant concept c_p for
-each described value.
+
+A candidate c is scored in closed form, after Shastri: #c times the
+product of #c_p[p,v]/#c_p over the described values, where the relevant
+concept c_p is the most specific class on c's climb that holds a [p,v]
+statistic (its reference class).  The witness is the scenario rooted at c
+with one link c_p -> p=v per described value; its weight, ln(1/prior)
+plus the links' ln(1/p), is -ln(score).  No search is needed, because the
+witness is valid:
+
+- each c_p is the unique maximally specific holder in isa_star(c)
+  (``relevant_concept`` raises otherwise);
+- every participant's climb lies in isa_star(c), apart from the value
+  nodes, which have no isa links: the other participants are c and the
+  c_p, so every link attaches at c;
+- synthesized links only enter value nodes, so an alternative to
+  c_p -> p=v at c is a link u -> p=v with c isa* u isa+ c_p, and such a
+  u would be a more specific holder than c_p;
+- so no standing alternative can preempt c_p -> p=v.
+
+Every other holder on c's climb is a proper ancestor of c_p, so c_p -> p=v
+preempts its link into p=v.  Every valid scenario rooted at c that covers
+the description therefore holds the witness's links, and the witness is
+also the lightest.  ``recognize`` still checks each witness's validity.
 """
 
 from __future__ import annotations
@@ -17,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     AmbiguousReferenceClassError,
@@ -29,13 +48,9 @@ from .errors import (
     UnknownPropertyValueError,
 )
 from .kb import CausalLink, CausalNetwork, EventId, EventNode, IsaLink, _ident
-from .solver import (
-    SolveStats,
-    SteinerTree,
-    WeightedSearchGraph,
-    best_valid_tree,
-    build_search_graph,
-)
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -240,30 +255,29 @@ def relevant_concept(kb: RecognitionKB, c: str, p: str, v: str) -> str | None:
     return minimal[0]
 
 
-def shastri_score(kb: RecognitionKB, c: str, descr: Iterable[tuple[str, str]]) -> Fraction:
-    """#c times the product over the description of #c_p[p,v]/#c_p, with
-    c_p the relevant concept; exact rational arithmetic."""
-    score = Fraction(kb.concept(c).count)
+def _relevant_specs(kb: RecognitionKB, c: str, descr: Iterable[tuple[str, str]]) -> list[PropertySpec]:
+    """The relevant concept's spec for each distinct described pair, in
+    pair order."""
+    specs = []
     for p, v in sorted(set(descr)):
         rc = relevant_concept(kb, c, p, v)
         if rc is None:
             raise NoRelevantConceptError(f"{c} has no relevant concept for {p}={v}")
-        spec = kb.spec_for(rc, p, v)
-        score *= Fraction(spec.count, kb.concept(rc).count)  # type: ignore[union-attr]
+        specs.append(kb.spec_for(rc, p, v))
+    return specs  # type: ignore[return-value]
+
+
+def _score(kb: RecognitionKB, c: str, specs: list[PropertySpec]) -> Fraction:
+    score = Fraction(kb.concept(c).count)
+    for s in specs:
+        score *= Fraction(s.count, kb.concept(s.concept).count)
     return score
 
 
-def build_recognition_graph(kb: RecognitionKB) -> WeightedSearchGraph:
-    """The diagnosis search graph with Shastri's root weights.
-
-    Edge weights come from the synthesized network (ln(#c/#c[p,v]) on
-    has-property edges, 0 on isa), but a concept's node weight is
-    ln(1/#c), which is negative for #c > 1.  That is safe because node
-    weights only ever compare candidate roots; they never enter edge
-    relaxation."""
-    g = build_search_graph(kb.to_causal_network())
-    weights = {c.id: math.log(1.0 / c.count) for c in kb.concepts}
-    return WeightedSearchGraph(g.nodes, g.edges, weights)
+def shastri_score(kb: RecognitionKB, c: str, descr: Iterable[tuple[str, str]]) -> Fraction:
+    """#c times the product over the description of #c_p[p,v]/#c_p, with
+    c_p the relevant concept; exact rational arithmetic."""
+    return _score(kb, c, _relevant_specs(kb, c, descr))
 
 
 @dataclass(frozen=True)
@@ -273,20 +287,19 @@ class RecognitionResult:
     weight: float | None
     score: Fraction | None
     reason: str | None
-    tree: SteinerTree | None
+    scenario: Scenario | None
 
 
-def recognize(
-    kb: RecognitionKB,
-    query: RecognitionQuery,
-    stats: SolveStats | None = None,
-) -> list[RecognitionResult]:
+def recognize(kb: RecognitionKB, query: RecognitionQuery) -> list[RecognitionResult]:
     """Rank the candidate concepts by exact score, ties by concept id.
 
-    A candidate is applicable when a valid tree covering the described
-    property values exists; its weight -ln(score) is that lightest tree's
-    weight.  Candidates that cannot be scored are reported as inapplicable
-    rather than dropped."""
+    A candidate is applicable when its score is positive; its scenario is
+    the witness with one link from the relevant concept to each described
+    value, and its weight -ln(score) is that scenario's weight.
+    Candidates that cannot be scored are reported as inapplicable rather
+    than dropped."""
+    from .scenario import Scenario, is_valid_scenario
+
     if not query.cset:
         raise ValueError("candidate set must be non-empty")
     if not query.descr:
@@ -299,37 +312,27 @@ def recognize(
             raise UnknownPropertyValueError(f"unknown property-value: {p}={v}")
 
     net = kb.to_causal_network()
-    g = build_recognition_graph(kb)
-    terminals = sorted(value_node(p, v) for p, v in query.descr)
-
     ranked: list[RecognitionResult] = []
     inapplicable: list[RecognitionResult] = []
     for c in sorted(query.cset):
         try:
-            score = shastri_score(kb, c, query.descr)
+            specs = _relevant_specs(kb, c, query.descr)
         except (NoRelevantConceptError, AmbiguousReferenceClassError) as err:
             inapplicable.append(RecognitionResult(c, False, None, None, str(err), None))
             continue
+        score = _score(kb, c, specs)
         if score == 0:
-            p, v = next(
-                (p, v)
-                for p, v in sorted(query.descr)
-                if kb.spec_for(relevant_concept(kb, c, p, v), p, v).count == 0  # type: ignore[union-attr,arg-type]
-            )
+            s = next(s for s in specs if s.count == 0)
             inapplicable.append(
-                RecognitionResult(c, False, None, score, f"no {p}={v} instances", None)
+                RecognitionResult(c, False, None, score, f"no {s.property}={s.value} instances", None)
             )
             continue
-        found = best_valid_tree(net, g, c, terminals, stats)
-        if found is None:
-            inapplicable.append(
-                RecognitionResult(c, False, None, score, "no connecting tree", None)
-            )
-            continue
-        tree, _ = found
+        witness = Scenario.make(c, [(s.concept, value_node(s.property, s.value)) for s in specs])
+        if not is_valid_scenario(net, witness):
+            raise AssertionError(f"recognition witness {witness} is not valid")
         # From the exact score, so that equal scores get equal weights.
         weight = math.log(score.denominator) - math.log(score.numerator)
-        ranked.append(RecognitionResult(c, True, weight, score, None, tree))
+        ranked.append(RecognitionResult(c, True, weight, score, None, witness))
 
     ranked.sort(key=lambda r: (-r.score, r.concept))
     inapplicable.sort(key=lambda r: r.concept)

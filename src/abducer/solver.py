@@ -92,12 +92,10 @@ class WeightedSearchGraph:
 
     ``in_edges`` lists each node's in-edges lightest first, ties broken by
     source; ``out_edges`` lists each node's out-edges by head.
-    ``free_in_adj`` holds the in-edge filter of the problems that force
-    and forbid nothing, shared by all of them (see ``_Problem``).
     """
 
     __slots__ = (
-        "nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges", "free_in_adj",
+        "nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges",
     )
 
     def __init__(
@@ -120,7 +118,7 @@ class WeightedSearchGraph:
             v: tuple(sorted(es, key=lambda e: (e.weight, e.src))) for v, es in ins.items()
         }
         self.out_edges = {v: tuple(es) for v, es in outs.items()}
-        self.free_in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
+
 
 def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
     """Causal edges ln(1/p), isa edges 0, disorder node weights ln(1/prior)."""
@@ -188,9 +186,7 @@ class _Problem:
     chain's other members to it, and every other node is its own super
     node.  A super node's in-edges are filtered from the graph's on first
     use: forbidden edges and edges from its own component are dropped, and
-    only the first (lightest) edge from each super source is kept.  A
-    problem that forces and forbids nothing filters the same way as every
-    other such problem on its graph, so they share the graph's lists.
+    only the first (lightest) edge from each super source is kept.
     """
 
     __slots__ = ("g", "forbidden", "super_of", "term_nodes", "forced_edges", "terminals", "in_adj")
@@ -202,9 +198,7 @@ class _Problem:
         self.term_nodes = term_nodes
         self.forced_edges = forced_edges
         self.terminals = terminals
-        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = (
-            {} if forbidden or super_of else g.free_in_adj
-        )
+        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
 
     def in_edges(self, v: str) -> list[tuple[float, str, GraphEdge]]:
         """(weight, super source, edge) for the edges into super node v."""
@@ -519,9 +513,8 @@ class _CandidateStream:
     rule edge out of r's climb, so the repair skips x there.  The stream
     then yields the unconstrained stream's trees minus those that hold a
     rule edge out of r's climb or out of an event they enter by isa, in
-    the same order with the same weights.  ``explain`` and
-    ``best_valid_tree`` pass ``_shadow_rule``, which computes each (r, x)
-    once.
+    the same order with the same weights.  ``explain`` passes
+    ``_shadow_rule``, which computes each (r, x) once.
     """
 
     def __init__(
@@ -709,23 +702,6 @@ def _shadow_rule(net: CausalNetwork) -> Callable[[str, str], frozenset[EdgeKey]]
         return got
 
     return rule
-
-
-def best_valid_tree(
-    net: CausalNetwork,
-    g: WeightedSearchGraph,
-    root: str,
-    terminals: Iterable[str],
-    stats: SolveStats | None = None,
-) -> tuple[SteinerTree, Scenario] | None:
-    """Lightest tree rooted at root whose scenario is valid and covers
-    the terminals as participants; shadowed links are never offered."""
-    terms = frozenset(terminals)
-    for w, r, tree in _CandidateStream(g, [root], terms, stats, _shadow_rule(net)):
-        scenario = tree_to_scenario(net, tree)
-        if terms <= participants(net, scenario) and is_valid_scenario(net, scenario):
-            return tree, scenario
-    return None
 
 
 def explain(

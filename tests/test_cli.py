@@ -257,6 +257,35 @@ class TestRecognize:
         assert not rows[2]["applicable"] and "rank" not in rows[2]
         assert "stats" not in payload
 
+    def test_invalid_witness_is_an_internal_error(self, run, fruits_path, monkeypatch):
+        from abducer import scenario
+
+        monkeypatch.setattr(scenario, "is_valid_scenario", lambda net, s: scenario.ValidityResult(False))
+        code, out, err = run("recognize", fruits_path, "--cset", "apple", "--descr", "color=green")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: AssertionError: recognition witness")
+
+    def test_stats_line_reads_no_dp(self, run, fruits_path):
+        argv = ("recognize", fruits_path, "--cset", "apple,grape", "--descr", "color=green,taste=sour")
+        _, plain, _ = run(*argv)
+        code, out, _ = run(*argv, "--stats")
+        assert code == 0
+        *rows, line = out.splitlines()
+        assert rows == plain.splitlines()
+        assert line.startswith("stats: wall_ms=")
+        assert line.endswith(" dp_runs=0 relaxations=0 table_entries=0")
+
+    def test_stats_key_reads_no_dp(self, run, fruits_path):
+        argv = ("recognize", fruits_path, "--open-cset", "--descr", "color=green", "--json")
+        _, plain, _ = run(*argv)
+        code, out, _ = run(*argv, "--stats")
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload.pop("stats")
+        assert payload == json.loads(plain)
+        assert set(stats) == {"wall_ms", "dp_runs", "relaxations", "table_entries"}
+        assert (stats["dp_runs"], stats["relaxations"], stats["table_entries"]) == (0, 0, 0)
+
 
 class TestExportDot:
     def test_stdout_render(self, run, fig2_path):
@@ -384,3 +413,13 @@ class TestImportGraph:
         assert "abducer.recognition" in loaded
         assert "abducer.oracle" not in loaded
         assert "json" not in loaded
+
+    def test_recognize_skips_the_solver(self, modules_loaded_by, fruits_path):
+        loaded = modules_loaded_by(
+            self.MAIN, "recognize", fruits_path, "--cset", "apple", "--descr", "color=green"
+        )
+        assert self.package(loaded) == self.BASE | {"abducer.recognition", "abducer.scenario"}
+
+    def test_validate_rkb_only_parses(self, modules_loaded_by, fruits_path):
+        loaded = modules_loaded_by(self.MAIN, "validate", fruits_path)
+        assert self.package(loaded) == self.BASE | {"abducer.recognition"}

@@ -12,8 +12,11 @@ from abducer import (
     NoRelevantConceptError,
     ParseError,
     RecognitionQuery,
+    Scenario,
     UnknownConceptError,
     UnknownPropertyValueError,
+    best_explanations_bruteforce,
+    build_search_graph,
     parse_recognition_kb,
     recognize,
     relevant_concept,
@@ -21,10 +24,13 @@ from abducer import (
     shastri_score,
 )
 from abducer.recognition import (
+    Concept,
+    PropertySpec,
+    RecognitionKB,
     all_concept_ids,
-    build_recognition_graph,
     value_node,
 )
+from abducer.kb import IsaLink
 from abducer.synth import random_taxonomy
 
 from strategies import taxonomies
@@ -193,13 +199,14 @@ class TestScore:
 
 
 class TestRecognitionGraph:
-    def test_root_weights_are_negative_logs_of_counts(self, fruits):
-        g = build_recognition_graph(fruits)
-        assert g.node_weight["grape"] == pytest.approx(-math.log(30))
-        assert g.node_weight["fruit"] == pytest.approx(-math.log(100))
+    def test_root_weights_are_logs_of_counts(self, fruits):
+        # ln(1/prior) with prior 1/#c
+        g = build_search_graph(fruits.to_causal_network())
+        assert g.node_weight["grape"] == pytest.approx(math.log(30))
+        assert g.node_weight["fruit"] == pytest.approx(math.log(100))
 
     def test_edge_weights_follow_the_statistics(self, fruits):
-        g = build_recognition_graph(fruits)
+        g = build_search_graph(fruits.to_causal_network())
         assert g.edge_by_key[("grape", "taste=sour")].weight == pytest.approx(
             math.log(30 / 12)
         )
@@ -253,7 +260,7 @@ class TestRecognize:
 
     def test_specific_statistic_preempts_cheaper_general_one(self):
         # the parent's edge is far lighter, but the child owns a statistic
-        # for the pair, so the tree through the parent is not a legal
+        # for the pair, so the scenario through the parent is not a legal
         # reading; the child's own edge must be used
         kb = parse_recognition_kb(
             "concept parent count=100\nconcept child count=10\n"
@@ -264,7 +271,7 @@ class TestRecognize:
         assert got[0].applicable
         assert got[0].score == Fraction(1)
         assert got[0].weight == pytest.approx(0.0, abs=1e-9)
-        assert [e.key for e in got[0].tree.edges] == [("child", "p=v")]
+        assert got[0].scenario == Scenario.make("child", [("child", "p=v")])
 
     def test_weight_is_negative_log_score(self, fruits):
         got = recognize(fruits, query(["apple", "grape"], [GREEN, SOUR]))
@@ -286,8 +293,8 @@ class TestRecognize:
 
 class TestExactTies:
     def test_equal_scores_rank_by_concept(self):
-        # c1 and c8 both score 4; their trees' float weights differ by an
-        # ulp, with c8's the lighter.
+        # c1 and c8 both score 4; their witnesses' summed float link
+        # weights differ by an ulp, with c8's the lighter.
         kb, _ = random_taxonomy(random.Random(63), max_concepts=10)
         got = recognize(kb, query(all_concept_ids(kb), [("p0", "v0")]))
         tied = [r for r in got if r.applicable and r.score == 4]
@@ -321,3 +328,64 @@ class TestRandomTaxonomies:
         weights = [r.weight for r in ranked]
         assert weights == sorted(weights)
         assert [r.concept for r in rest] == sorted(r.concept for r in rest)
+
+
+def dag_taxonomy(rng: random.Random, max_concepts: int = 6, max_pairs: int = 2):
+    """A taxonomy where each concept has 1 to 3 parents among the earlier
+    concepts.  Each concept holds a spec for each pair with probability 0.7
+    (root) or 0.35, with a count from 0 to #c."""
+    nc = rng.randint(2, max_concepts)
+    counts = [rng.randint(20, 100)]
+    isa = []
+    for i in range(1, nc):
+        parents = rng.sample(range(i), rng.randint(1, min(3, i)))
+        isa += [IsaLink(f"c{i}", f"c{j}") for j in parents]
+        counts.append(rng.randint(1, min(counts[j] for j in parents)))
+    pairs = [(f"p{j}", f"v{j}") for j in range(rng.randint(1, max_pairs))]
+    specs = [
+        PropertySpec(f"c{i}", p, v, rng.randint(0, counts[i]))
+        for i in range(nc)
+        for p, v in pairs
+        if rng.random() < (0.7 if i == 0 else 0.35)
+    ]
+    concepts = [Concept(f"c{i}", n) for i, n in enumerate(counts)]
+    return RecognitionKB(concepts, isa, specs)
+
+
+class TestWitnessAgainstSearch:
+    """The closed-form witness is the lightest valid scenario the exhaustive
+    search finds for the candidate, and its weight is -ln(score)."""
+
+    @staticmethod
+    def check(kb) -> int:
+        net = kb.to_causal_network()
+        pairs = sorted(kb.known_pairs())
+        checked = 0
+        for descr in [[pair] for pair in pairs] + [pairs]:
+            obs = [value_node(p, v) for p, v in descr]
+            for r in recognize(kb, query(all_concept_ids(kb), descr)):
+                if not r.applicable:
+                    continue
+                best = best_explanations_bruteforce(net, obs, 1, culprit=r.concept)
+                assert r.scenario == best[0].scenario
+                weight = -math.log(kb.concept(r.concept).count) + sum(
+                    math.log(1.0 / net.cond_prob(x, y)) for x, y in r.scenario.causations
+                )
+                assert r.weight == pytest.approx(weight, abs=1e-9)
+                checked += 1
+        return checked
+
+    def test_tree_taxonomies(self):
+        checked = sum(
+            self.check(random_taxonomy(random.Random(seed), max_concepts=6, max_pairs=2)[0])
+            for seed in range(150)
+        )
+        assert checked >= 1400
+
+    def test_dag_taxonomies(self):
+        checked = 0
+        for seed in range(300):
+            kb = dag_taxonomy(random.Random(seed))
+            if kb.specs:
+                checked += self.check(kb)
+        assert checked >= 2200

@@ -27,7 +27,7 @@ from abducer import (
 )
 from abducer.kb import TOP_NAME
 from abducer.scenario import log_weight, participants, shadowed_below, shadowed_links
-from abducer.solver import _build_problem, _canonicalize, _CandidateStream, best_valid_tree
+from abducer.solver import _build_problem, _canonicalize, _CandidateStream, _shadow_rule
 from abducer.synth import (
     complexity_network,
     random_network,
@@ -772,8 +772,9 @@ class TestShadowedLinks:
         )
         assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
         stats = SolveStats()
-        _, scenario = best_valid_tree(net, build_search_graph(net), "c", ["pv"], stats)
-        assert scenario == Scenario.make("c", [("c", "pv")])
+        stream = _CandidateStream(build_search_graph(net), ["c"], ["pv"], stats, _shadow_rule(net))
+        _, _, tree = next(iter(stream))
+        assert tree_to_scenario(net, tree) == Scenario.make("c", [("c", "pv")])
         assert stats.dp_runs == 2
 
 
@@ -898,11 +899,11 @@ class TestStats:
         assert stats.touched_nodes == set(t1.touched_nodes() | t2.touched_nodes())
 
 
-class TestBestValidTree:
+class TestExplainPastInvalidTrees:
     def test_skips_invalid_minimum(self):
         # the general link a->e is far more probable than the specific
         # b->e, so the lightest tree rooted at d uses it; that scenario
-        # is preempted and the stream must move on to the valid one
+        # is preempted and explain must return the valid one instead
         net = parse_network(
             "event a\nevent b\nevent d prior=0.5 disorder\nevent e\n"
             "isa d b\nisa b a\n"
@@ -911,11 +912,12 @@ class TestBestValidTree:
         g = build_search_graph(net)
         light, _ = steiner_dp(g, "d", ["e"])
         assert ("a", "e") in {e.key for e in light.edges}
-        got = best_valid_tree(net, g, "d", ["e"])
-        assert got is not None
-        _, scenario = got
-        assert scenario == Scenario.make("d", [("b", "e")])
+        got = explain(net, ["e"], k=1)
+        assert [r.scenario for r in got] == [Scenario.make("d", [("b", "e")])]
 
     def test_none_when_unreachable(self, fig2):
-        g = build_search_graph(fig2)
-        assert best_valid_tree(fig2, g, "c", ["g"]) is None
+        # c reaches e but not g: no explanation of g is rooted at c
+        got = explain(fig2, ["g"], k=10)
+        assert got
+        assert "c" not in {r.scenario.culprit for r in got}
+        assert best_explanations_bruteforce(fig2, ["g"], 10, culprit="c") == []
