@@ -25,7 +25,6 @@ _EXPORTS = {
     "InconsistentConstraintsError": "errors",
     "InvalidScenarioError": "errors",
     "IsaCycleError": "errors",
-    "MalformedTreeError": "errors",
     "MissingDisorderPriorError": "errors",
     "MissingPriorError": "errors",
     "NetworkTooLargeError": "errors",

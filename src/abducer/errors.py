@@ -78,10 +78,6 @@ class InconsistentConstraintsError(AbducerError):
     """Forced/forbidden edge sets contradict each other or the graph."""
 
 
-class MalformedTreeError(AbducerError):
-    """An edge set does not form an arborescence rooted at the given root."""
-
-
 class UnknownConceptError(AbducerError):
     """A referenced concept id is not declared in the recognition KB."""
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import NetworkTooLargeError, UnknownEventError
+from .errors import NetworkTooLargeError
 from .kb import CausalNetwork, EventId, add_top
 from .scenario import (
     Link,
     RankedExplanation,
     Scenario,
+    check_query,
     is_valid_scenario,
     log_weight,
     order_and_rank,
@@ -92,15 +93,7 @@ def best_explanations_bruteforce(
     ``multi`` mirrors the solver's multi mode: the network is augmented
     with the distinguished root (unless it already has one) and only
     scenarios rooted there are considered."""
-    obs = frozenset(observations)
-    if not obs:
-        raise ValueError("observation set must be non-empty")
-    for o in obs:
-        if not net.has_event(o):
-            raise UnknownEventError(f"unknown event: {o}")
-    if k < 1:
-        raise ValueError("k must be positive")
-
+    obs = check_query(net, observations, k)
     if multi:
         net = net if net.top else add_top(net)
         culprit = net.top

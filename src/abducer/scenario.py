@@ -111,6 +111,21 @@ class ValidityResult:
         return self.valid
 
 
+def check_query(net: CausalNetwork, observations: Iterable[EventId], k: int) -> frozenset[EventId]:
+    """The observation set of a k-best query, checked in a fixed order: the
+    set is non-empty, k is positive, and every observation is an event of
+    net (the first unknown one in sorted order is named)."""
+    obs = frozenset(observations)
+    if not obs:
+        raise ValueError("observation set must be non-empty")
+    if k < 1:
+        raise ValueError("k must be positive")
+    for o in sorted(obs):
+        if not net.has_event(o):
+            raise UnknownEventError(f"unknown event: {o}")
+    return obs
+
+
 def participants(net: CausalNetwork, s: Scenario) -> frozenset[EventId]:
     """The culprit plus every endpoint of a causation link.
 
@@ -330,7 +345,7 @@ def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> Validit
 def is_explanation(net: CausalNetwork, s: Scenario, observations: Iterable[EventId]) -> bool:
     """Valid scenario, disorder culprit, observations among participants."""
     obs = frozenset(observations)
-    for o in obs:
+    for o in sorted(obs):
         if not net.has_event(o):
             raise UnknownEventError(f"unknown event: {o}")
     if not net.node(s.culprit).is_disorder:

@@ -10,13 +10,14 @@ candidate tree is kept only if its scenario passes the canonical validity
 check.
 
 Lawler children are solved lazily: each one waits on the heap under a lower
-bound on its weight and is solved only when that bound reaches the top, so
-a query that stops early never solves the children bounded above the tree
-it stopped at.  Extension children that would give a node two parents are
-never created, and an extension child whose forced edge leaves the parent
-tree needs no DP: its optimum is the parent tree plus that edge.  A child's
-DP filters the graph's per-node in-edge lists as it reaches each node
-instead of rebuilding the whole adjacency.
+bound on its weight and is solved only when that bound reaches the top.
+The stream stops once the top of its heap is past its ``bound``, which
+``explain`` sets to the k-th accepted weight, so a child bounded past that
+weight is never solved.  Extension children that would give a node two
+parents are never created, and an extension child whose forced edge leaves
+the parent tree needs no DP: its optimum is the parent tree plus that edge.
+A child's DP filters the graph's per-node in-edge lists as it reaches each
+node instead of rebuilding the whole adjacency.
 
 Only clean trees leave the enumeration: every isa edge's head has an
 out-edge in the tree, and a terminal entered by an isa edge has a causal
@@ -50,17 +51,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    InconsistentConstraintsError,
-    MalformedTreeError,
-    TooManyTerminalsError,
-    UnknownEventError,
-)
+from .errors import InconsistentConstraintsError, TooManyTerminalsError, UnknownEventError
 from .kb import CausalNetwork, EventId, add_top
 from .scenario import (
     WEIGHT_TIE_TOL,
     RankedExplanation,
     Scenario,
+    check_query,
     is_valid_scenario,
     log_weight,
     order_and_rank,
@@ -317,7 +314,7 @@ def _trace(table: DPTable, node: str, mask: int, acc: set[GraphEdge]) -> None:
         node, mask = todo.pop()
         back = table.entries.get((node, mask))
         if back is None:
-            raise MalformedTreeError("internal: missing DP backpointer")
+            raise AssertionError("missing DP backpointer")
         if back[0] == "merge":
             todo.append((node, back[1]))
             todo.append((node, mask ^ back[1]))
@@ -346,7 +343,7 @@ def _canonicalize(root: str, edges: Iterable[GraphEdge], terminals: Iterable[str
                 queue.append(e.dst)
     missing = set(terminals) - visited
     if missing:
-        raise MalformedTreeError(f"internal: tree misses terminals {sorted(missing)}")
+        raise AssertionError(f"tree misses terminals {sorted(missing)}")
     weight = 0.0
     for e in sorted(chosen, key=lambda e: (e.src, e.dst)):
         weight += e.weight
@@ -403,49 +400,32 @@ def steiner_dp(
     if problem is None:
         return None, table
     by_mask = _run_dp(problem, table)
-    try:
-        tree = _extract(problem, by_mask, table, root)
-    except MalformedTreeError:
-        return None, table
-    return tree, table
+    return _extract(problem, by_mask, table, root), table
 
 
 def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
-    """Drop isa edges; the causal edges become the scenario's causations."""
-    seen_dst: set[str] = set()
-    adj: dict[str, list[str]] = {}
-    for e in tree.edges:
-        if e.dst in seen_dst or e.dst == tree.root:
-            raise MalformedTreeError(f"node {e.dst} has two parents or is the root")
-        seen_dst.add(e.dst)
-        adj.setdefault(e.src, []).append(e.dst)
-    reached = {tree.root}
-    queue = [tree.root]
-    while queue:
-        v = queue.pop(0)
-        for w in adj.get(v, ()):
-            reached.add(w)
-            queue.append(w)
-    if seen_dst - reached:
-        raise MalformedTreeError("edge set is not connected to the root")
-    causations = []
-    for e in tree.edges:
-        if e.kind == "cause":
-            if not net.is_link(e.src, e.dst):
-                raise MalformedTreeError(f"{e.src}->{e.dst} is not a network link")
-            causations.append((e.src, e.dst))
-    return Scenario.make(tree.root, causations)
+    """Drop isa edges; the causal edges become the scenario's causations.
+
+    The shape is not checked here: ``is_valid_scenario`` rejects an effect
+    caused twice, a caused culprit, a link that cannot attach and a
+    non-link.
+    """
+    return Scenario.make(tree.root, [(e.src, e.dst) for e in tree.edges if e.kind == "cause"])
 
 
 class _CandidateStream:
     """Best-first Lawler enumeration of candidate trees over several roots.
 
-    Yields (weight, root, tree) with weight = root node weight + tree weight,
-    in non-decreasing order.  Emitted trees are partitioned away by two kinds
-    of subproblem: excluding one tree edge (forcing the preceding prefix),
-    and strict extensions (forcing the whole tree plus one further causal
-    edge, earlier-ordered extension edges forbidden).  The second kind makes
-    the stream cover non-minimal candidates, whose extra branches explain
+    The stream takes the network and builds its search graph from it.  It
+    yields (weight, root, tree) with weight = root node weight + tree
+    weight, in non-decreasing order, and stops once the top key of its
+    heap is past ``bound`` (infinite until the caller lowers it): every
+    tree a heap entry holds weighs at least its key, so no tree it skips is
+    within the bound.  Emitted trees are partitioned away by two kinds of
+    subproblem: excluding one tree edge (forcing the preceding prefix), and
+    strict extensions (forcing the whole tree plus one further causal edge,
+    earlier-ordered extension edges forbidden).  The second kind makes the
+    stream cover non-minimal candidates, whose extra branches explain
     nothing but are still legitimate scenarios.
 
     A child enters the heap unsolved, keyed ``(lb, -1)`` where ``lb`` bounds
@@ -495,11 +475,11 @@ class _CandidateStream:
 
     ``shadowed(r, x)``, when given, names the causal edges out of x that
     no tree rooted at r may hold where x is never a maximal participant
-    (``scenario.shadowed_below``).  For the proper isa ancestors x of r
-    that is every tree, so their edges are r's initial forbidden keys and
-    every child of r forbids them too.  A root whose base tree uses one is
-    not pushed; it waits as the child (F = {}, X = banned(r)) under its
-    base weight less ``WEIGHT_TIE_TOL``.
+    (``scenario.shadowed_below``).  For the proper isa ancestors x of r (in
+    ``net.isa_star(r)``) that is every tree, so their edges are r's initial
+    forbidden keys and every child of r forbids them too.  A root whose
+    base tree uses one is not pushed; it waits as the child
+    (F = {}, X = banned(r)) under its base weight less ``WEIGHT_TIE_TOL``.
 
     Off r's climb, the rule holds for the trees that enter x by an isa
     edge, which a second repair enforces on clean popped trees.  Let
@@ -519,15 +499,16 @@ class _CandidateStream:
 
     def __init__(
         self,
-        g: WeightedSearchGraph,
+        net: CausalNetwork,
         roots: Iterable[str],
         terminals: Iterable[str],
         stats: SolveStats | None = None,
         shadowed: Callable[[str, str], frozenset[EdgeKey]] | None = None,
     ):
-        self.g = g
+        self.net = net
+        self.g = g = build_search_graph(net)
         self.shadowed = shadowed
-        self._climbs: dict[str, set[str]] = {}
+        self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         self._term_set = frozenset(self.terminals)
         self.stats = stats
@@ -540,10 +521,7 @@ class _CandidateStream:
         if self.stats is not None:
             self.stats.absorb(base_table)
         for r in sorted(set(roots)):
-            try:
-                tree = _extract(base_problem, by_mask, base_table, r)
-            except MalformedTreeError:
-                tree = None
+            tree = _extract(base_problem, by_mask, base_table, r)
             if tree is None:
                 continue
             banned = self._banned(r)
@@ -557,35 +535,18 @@ class _CandidateStream:
         return self.g.node_weight.get(root, 0.0)
 
     def _banned(self, root: str) -> frozenset[EdgeKey]:
-        """The rule edges out of root's proper isa ancestors; records root's
-        climb for ``_unshadow``."""
+        """The rule edges out of root's proper isa ancestors."""
         if self.shadowed is None:
             return frozenset()
-        climb = self._climbs[root] = {root}
-        todo = [root]
-        banned: set[EdgeKey] = set()
-        while todo:
-            for e in self.g.out_edges.get(todo.pop(), ()):
-                if e.kind == "isa" and e.dst not in climb:
-                    climb.add(e.dst)
-                    todo.append(e.dst)
-                    banned |= self.shadowed(root, e.dst)
-        return frozenset(banned)
+        climb = self.net.isa_star(root)
+        return frozenset().union(*(self.shadowed(root, x) for x in climb if x != root))
 
     def _extension_edges(self, root: str) -> tuple[GraphEdge, ...]:
         """The causal edges whose source root reaches, in key order."""
         cached = self._ext_cache.get(root)
         if cached is None:
-            seen = {root}
-            queue = [root]
-            causal = []
-            while queue:
-                for e in self.g.out_edges.get(queue.pop(), ()):
-                    if e.kind == "cause":
-                        causal.append(e)
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        queue.append(e.dst)
+            out = self.g.out_edges
+            causal = [e for v in reachable(self.net, root) for e in out.get(v, ()) if e.kind == "cause"]
             cached = self._ext_cache[root] = tuple(sorted(causal, key=lambda e: e.key))
         return cached
 
@@ -636,7 +597,7 @@ class _CandidateStream:
         deferred, when it holds none."""
         if self.shadowed is None:
             return False
-        climb = self._climbs[root]
+        climb = self.net.isa_star(root)
         entered = {e.dst for e in tree.edges if e.kind == "isa" and e.dst not in climb}
         for g_edge in tree.edges:
             if g_edge.src in entered and g_edge.kind == "cause" and g_edge.key in self.shadowed(root, g_edge.src):
@@ -651,7 +612,7 @@ class _CandidateStream:
         return True
 
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
-        while self._heap:
+        while self._heap and self._heap[0][0][0] <= self.bound:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
             if key[1] == -1:
                 self._solve_child(root, forced, forbidden, tree)
@@ -715,40 +676,34 @@ def explain(
 
     Single mode roots the search at each disorder; multi mode augments the
     network with the distinguished root event and explains through it.
-    Shadowed links are never offered.
+    Shadowed links are never offered.  Once k explanations are accepted,
+    the stream stops past the k-th lightest of their weights (plus
+    ``WEIGHT_TIE_TOL``), so no child bounded past it is solved.
     Fewer than k results are returned when fewer explanations exist.
     """
-    obs = frozenset(observations)
-    if not obs:
-        raise ValueError("observation set must be non-empty")
-    if k < 1:
-        raise ValueError("k must be positive")
-    for o in obs:
-        if not net.has_event(o):
-            raise UnknownEventError(f"unknown event: {o}")
-
+    obs = check_query(net, observations, k)
     work = net if (multi and net.top) else (add_top(net) if multi else net)
-    g = build_search_graph(work)
     roots = [work.top] if multi else list(work.disorders)
     if not roots:
         return []
 
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
-    kth = math.inf
-    for w, root, tree in _CandidateStream(g, roots, obs, stats, _shadow_rule(work)):
-        if len(found) >= k and w > kth + WEIGHT_TIE_TOL:
-            break
+    stream = _CandidateStream(work, roots, obs, stats, _shadow_rule(work))
+    for _, _, tree in stream:
         scenario = tree_to_scenario(work, tree)
         # Clean trees can still share a scenario: two isa routes from one
         # participant to one link's cause give two trees, one scenario.
         if scenario in seen:
             continue
         seen.add(scenario)
-        if obs <= participants(work, scenario) and is_valid_scenario(work, scenario):
+        # A clean tree covers every observation (see _CandidateStream).
+        if not obs <= participants(work, scenario):
+            raise AssertionError(f"{scenario!r} misses an observation")
+        if is_valid_scenario(work, scenario):
             found.append(
                 (scenario, log_weight(work, scenario), raw_probability(work, scenario))
             )
             if len(found) >= k:
-                kth = sorted(t[1] for t in found)[k - 1]
+                stream.bound = sorted(t[1] for t in found)[k - 1] + WEIGHT_TIE_TOL
     return order_and_rank(found)[:k]

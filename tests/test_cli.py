@@ -8,6 +8,9 @@ subcommand uses.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,8 @@ from abducer import cli
 from abducer.cli import main
 from abducer.kb import serialize_network
 from abducer.synth import two_disorder_network
+
+from conftest import SRC
 
 
 @pytest.fixture()
@@ -111,6 +116,36 @@ class TestExplainText:
         code, _, err = run("explain", fig2_path, "--obs", ",")
         assert code == 2
         assert "non-empty" in err
+
+
+class TestQueryErrors:
+    # Each engine checks a query in one fixed order: empty observations,
+    # then k, then the first unknown event in sorted order, so neither the
+    # engine nor the set's hash order picks the message.
+    SCRIPT = (
+        "import sys\n"
+        "from abducer.cli import main\n"
+        "for query in (['--obs', 'zz,yy,xx'], ['--obs', 'zz', '--k', '0']):\n"
+        "    for engine in ([], ['--oracle']):\n"
+        "        main(['explain', sys.argv[1], *query, *engine])\n"
+    )
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4", "5", "6"])
+    def test_same_error_under_every_hash_seed(self, fig2_path, hash_seed):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(fig2_path)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr.decode().splitlines() == [
+            "error: unknown event: xx",
+            "error: unknown event: xx",
+            "error: k must be positive",
+            "error: k must be positive",
+        ]
 
 
 class TestExplainJson:

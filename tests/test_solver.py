@@ -6,21 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abducer.solver
 from abducer import (
+    AbducerError,
     GraphEdge,
     InconsistentConstraintsError,
-    MalformedTreeError,
     Scenario,
     SolveStats,
     SteinerTree,
     TooManyTerminalsError,
     UnknownEventError,
+    UnknownLinkError,
     WeightedSearchGraph,
     add_top,
     best_explanations_bruteforce,
     build_search_graph,
     explain,
     is_explanation,
+    is_valid_scenario,
     parse_network,
     steiner_dp,
     tree_to_scenario,
@@ -316,25 +319,26 @@ class TestTreeToScenario:
         s = tree_to_scenario(fig2, tree)
         assert s == Scenario.make("f", [("a", "e"), ("f", "g")])
 
+    # tree_to_scenario checks no shape; the validity check rejects each
+    # malformed edge set's scenario.
+    def verdict(self, net, root, *edges):
+        return is_valid_scenario(net, tree_to_scenario(net, SteinerTree(root, edges, frozenset(), 0.0)))
+
     def test_two_parents_rejected(self, fig2):
-        bad = SteinerTree("c", (self.edge("a", "e"), self.edge("b", "e")), frozenset(), 0.0)
-        with pytest.raises(MalformedTreeError):
-            tree_to_scenario(fig2, bad)
+        got = self.verdict(fig2, "c", self.edge("a", "e"), self.edge("b", "e"))
+        assert not got and got.reason == "effect e caused by more than one link"
 
     def test_edge_into_root_rejected(self, fig2):
-        bad = SteinerTree("e", (self.edge("a", "e"),), frozenset(), 0.0)
-        with pytest.raises(MalformedTreeError):
-            tree_to_scenario(fig2, bad)
+        got = self.verdict(fig2, "e", self.edge("a", "e"))
+        assert not got and got.reason == "culprit e appears as an effect"
 
     def test_disconnected_edge_rejected(self, fig2):
-        bad = SteinerTree("c", (self.edge("b", "e"),), frozenset(), 0.0)
-        with pytest.raises(MalformedTreeError):
-            tree_to_scenario(fig2, bad)
+        got = self.verdict(fig2, "c", self.edge("b", "e"))
+        assert not got and got.reason.startswith("unattachable")
 
     def test_phantom_link_rejected(self, fig2):
-        bad = SteinerTree("c", (self.edge("c", "g"),), frozenset(), 0.0)
-        with pytest.raises(MalformedTreeError):
-            tree_to_scenario(fig2, bad)
+        with pytest.raises(UnknownLinkError):
+            self.verdict(fig2, "c", self.edge("c", "g"))
 
 
 # Stream sequences as (weight to 12 places, root, edges in tree order).
@@ -403,8 +407,8 @@ def _holds_rule_link(net, root, edges, climb_only=False):
     )
 
 
-def _stream_items(g, roots, terminals, limit=None):
-    stream = itertools.islice(_CandidateStream(g, roots, terminals), limit)
+def _stream_items(net, roots, terminals, limit=None):
+    stream = itertools.islice(_CandidateStream(net, roots, terminals), limit)
     return [
         (round(w, 12), root, " ".join(f"{e.src}>{e.dst}" for e in tree.edges))
         for w, root, tree in stream
@@ -413,35 +417,31 @@ def _stream_items(g, roots, terminals, limit=None):
 
 class TestCandidateStream:
     def test_weights_non_decreasing(self, fig2):
-        g = build_search_graph(fig2)
-        ws = [w for w, _, _ in _CandidateStream(g, ["c", "d", "f"], ["e"])]
+        ws = [w for w, _, _ in _CandidateStream(fig2, ["c", "d", "f"], ["e"])]
         assert ws == sorted(ws)
         assert len(ws) >= 3
 
     def test_no_tree_yielded_twice(self, fig2):
-        g = build_search_graph(fig2)
         seen = set()
-        for _, root, tree in _CandidateStream(g, ["c", "d", "f"], ["g"]):
+        for _, root, tree in _CandidateStream(fig2, ["c", "d", "f"], ["g"]):
             key = (root, frozenset(e.key for e in tree.edges))
             assert key not in seen
             seen.add(key)
 
     def test_first_candidate_is_the_minimum(self, fig2):
         g = build_search_graph(fig2)
-        stream = iter(_CandidateStream(g, ["f"], ["e", "g"]))
+        stream = iter(_CandidateStream(fig2, ["f"], ["e", "g"]))
         w, root, tree = next(stream)
         want = _cheapest_arborescence(g, "f", ["e", "g"])
         assert w == pytest.approx(g.node_weight["f"] + want, abs=1e-9)
 
     def test_stream_weight_matches_scenario_weight(self, fig2):
-        g = build_search_graph(fig2)
-        for w, root, tree in _CandidateStream(g, ["c", "d", "f"], ["e"]):
+        for w, root, tree in _CandidateStream(fig2, ["c", "d", "f"], ["e"]):
             s = tree_to_scenario(fig2, tree)
             assert w == pytest.approx(log_weight(fig2, s), abs=1e-9)
 
     def test_fig2_sequence_pinned(self, fig2):
-        g = build_search_graph(fig2)
-        assert _stream_items(g, ["c", "d", "f"], ["e", "g"], 40) == FIG2_EG_STREAM
+        assert _stream_items(fig2, ["c", "d", "f"], ["e", "g"], 40) == FIG2_EG_STREAM
 
     @pytest.mark.parametrize(
         "seed, want", [(0, MULTI_SEED0_STREAM), (12, MULTI_SEED12_STREAM)]
@@ -450,8 +450,7 @@ class TestCandidateStream:
         rng = random.Random(seed)
         net = random_network(rng, max_events=7, max_causal=9, max_isa=4)
         obs = random_observations(rng, net)
-        g = build_search_graph(add_top(net))
-        assert _stream_items(g, [TOP_NAME], obs) == want
+        assert _stream_items(add_top(net), [TOP_NAME], obs) == want
 
     @settings(max_examples=40, deadline=None)
     @given(networks_with_observations())
@@ -461,8 +460,7 @@ class TestCandidateStream:
             return
         terms = frozenset(obs)
         for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
-            g = build_search_graph(work)
-            for _, root, tree in itertools.islice(_CandidateStream(g, roots, terms), 30):
+            for _, root, tree in itertools.islice(_CandidateStream(work, roots, terms), 30):
                 assert _is_clean(tree, terms)
                 assert terms <= participants(work, tree_to_scenario(work, tree))
 
@@ -479,7 +477,7 @@ class TestCandidateStream:
             g = build_search_graph(net)
             got = [
                 (root, frozenset(e.key for e in tree.edges), w)
-                for w, root, tree in _CandidateStream(g, net.disorders, terms)
+                for w, root, tree in _CandidateStream(net, net.disorders, terms)
             ]
             assert [w for *_, w in got] == sorted(w for *_, w in got), seed
             want = set()
@@ -500,14 +498,13 @@ class TestCandidateStream:
             terms = frozenset(sorted({l.effect for l in net.causal})[:2])
             if not terms or not net.disorders:
                 continue
-            g = build_search_graph(net)
             shadowed = {r: shadowed_links(net, r) for r in net.disorders}
-            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(g, net.disorders, terms)]
+            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(net, net.disorders, terms)]
             want = [i for i in plain if not any(e.key in shadowed[i[1]] for e in i[2])]
             rule = lambda r, x: frozenset(k for k in shadowed[r] if k[0] == x)
             got = [
                 (w, r, t.edges)
-                for w, r, t in _CandidateStream(g, net.disorders, terms, shadowed=rule)
+                for w, r, t in _CandidateStream(net, net.disorders, terms, shadowed=rule)
             ]
             assert got == want, seed
             dropped += len(plain) - len(want)
@@ -526,11 +523,10 @@ class TestCandidateStream:
                 continue
             work = add_top(net) if multi else net
             roots = [TOP_NAME] if multi else list(net.disorders)
-            g = build_search_graph(work)
             rule = lambda r, x: shadowed_below(work, r, x)
-            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(g, roots, terms)]
+            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(work, roots, terms)]
             want = [i for i in plain if not _holds_rule_link(work, *i[1:])]
-            got = [(w, r, t.edges) for w, r, t in _CandidateStream(g, roots, terms, shadowed=rule)]
+            got = [(w, r, t.edges) for w, r, t in _CandidateStream(work, roots, terms, shadowed=rule)]
             assert got == want, seed
             below += sum(
                 _holds_rule_link(work, r, es) and not _holds_rule_link(work, r, es, climb_only=True)
@@ -545,9 +541,8 @@ class TestCandidateStream:
             "event d prior=0.5 disorder\nevent x\nevent y\nevent w\n"
             "isa d x\nisa x y\ncause y w p=0.5\n"
         )
-        g = build_search_graph(net)
-        assert _stream_items(g, ["d"], ["x", "w"]) == []
-        assert _stream_items(g, ["d"], ["w"]) == [(1.38629436112, "d", "d>x x>y y>w")]
+        assert _stream_items(net, ["d"], ["x", "w"]) == []
+        assert _stream_items(net, ["d"], ["w"]) == [(1.38629436112, "d", "d>x x>y y>w")]
         assert explain(net, ["x", "w"], k=3) == []
 
     def test_isa_diamond_gives_two_trees_for_one_scenario(self):
@@ -557,8 +552,7 @@ class TestCandidateStream:
             "event d prior=0.5 disorder\nevent a\nevent b\nevent x\nevent o\n"
             "isa d a\nisa d b\nisa a x\nisa b x\ncause x o p=0.5\n"
         )
-        g = build_search_graph(net)
-        assert _stream_items(g, ["d"], ["o"]) == [
+        assert _stream_items(net, ["d"], ["o"]) == [
             (1.386294361120, "d", "d>a a>x x>o"),
             (1.386294361120, "d", "d>b b>x x>o"),
         ]
@@ -584,6 +578,20 @@ class TestCandidateStream:
         assert [r.scenario for r in got] == [Scenario.make("d", [("d", "o")])]
         assert stats.dp_runs == 2
 
+    def test_the_stop_bound_holds_inside_the_stream(self):
+        # The culprit d alone explains d.  Both extension children lie past
+        # the k=1 stop: d->x leaves the tree (closed form, no DP), and the
+        # x->y child, whose bound sorts first, would need a DP.  Only the
+        # base DP runs, because the stream stops before popping either.
+        net = parse_network(
+            "event d prior=0.1 disorder\nevent x\nevent y\n"
+            "cause d x p=0.1\ncause x y p=0.3\n"
+        )
+        stats = SolveStats()
+        got = explain(net, ["d"], k=1, stats=stats)
+        assert [r.scenario for r in got] == [Scenario.make("d")]
+        assert stats.dp_runs == 1
+
     @settings(max_examples=40, deadline=None)
     @given(networks_with_observations())
     def test_closed_form_extension_children_match_the_dp(self, net_obs):
@@ -597,7 +605,7 @@ class TestCandidateStream:
         for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
             g = build_search_graph(work)
             causal = [e for e in g.edges if e.kind == "cause"]
-            for _, root, tree in itertools.islice(_CandidateStream(g, roots, terms), 15):
+            for _, root, tree in itertools.islice(_CandidateStream(work, roots, terms), 15):
                 tree_keys = frozenset(e.key for e in tree.edges)
                 nodes = {root} | {e.dst for e in tree.edges}
                 for f in causal:
@@ -704,6 +712,61 @@ class TestDenseRegressions:
         assert stats.dp_runs < 1500
 
 
+class TestDenseProperties:
+    # Networks too large for the oracle: every answer is still an
+    # explanation, weighed exactly as scenario.log_weight weighs it, and
+    # ranked in order.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        networks_with_observations(max_events=40, max_causal=80, max_isa=20),
+        st.sampled_from([1, 3, 10]),
+        st.booleans(),
+    )
+    def test_answers_are_ranked_explanations(self, net_obs, k, multi):
+        net, obs = net_obs
+        if not obs:
+            return
+        try:
+            got = explain(net, obs, k=k, multi=multi)
+        except AbducerError:
+            return
+        work = add_top(net) if multi else net
+        assert len(got) <= k
+        assert [r.rank for r in got] == list(range(1, len(got) + 1))
+        assert [r.log_weight for r in got] == sorted(r.log_weight for r in got)
+        for r in got:
+            assert is_explanation(work, r.scenario, obs)
+            assert r.log_weight == log_weight(work, r.scenario)
+
+
+class TestTraceSeam:
+    # perfbench's per-layer funnel counts the calls explain makes through
+    # these abducer.solver attributes; explain must keep resolving each of
+    # them there when it runs.
+    NAMES = ("build_search_graph", "steiner_dp", "tree_to_scenario", "participants", "is_valid_scenario")
+
+    def test_explain_calls_each_traced_function_through_the_solver_module(self, fig2, monkeypatch):
+        calls = dict.fromkeys(self.NAMES, 0)
+        accepted = 0
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                nonlocal accepted
+                calls[name] += 1
+                result = fn(*args, **kwargs)
+                if name == "is_valid_scenario" and result:
+                    accepted += 1
+                return result
+
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(abducer.solver, name, counted(name, getattr(abducer.solver, name)))
+        got = explain(fig2, ["e", "g"], k=3)
+        assert all(calls.values()), calls
+        assert calls["tree_to_scenario"] >= calls["is_valid_scenario"] >= accepted >= len(got) > 0
+
+
 # Two disorders, e0 isa e1 isa e2.  At e0, e0->e4 and e0->e5 shadow the
 # links of e1 and e2 to e4 and e5, and e1->e3 shadows e2->e3; at e1, the
 # links of e1 shadow all three of e2's.
@@ -772,7 +835,7 @@ class TestShadowedLinks:
         )
         assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
         stats = SolveStats()
-        stream = _CandidateStream(build_search_graph(net), ["c"], ["pv"], stats, _shadow_rule(net))
+        stream = _CandidateStream(net, ["c"], ["pv"], stats, _shadow_rule(net))
         _, _, tree = next(iter(stream))
         assert tree_to_scenario(net, tree) == Scenario.make("c", [("c", "pv")])
         assert stats.dp_runs == 2
