@@ -9,8 +9,9 @@ scenarios drawn from the network are trees.
 from __future__ import annotations
 
 import heapq
-import re
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
+from operator import itemgetter
 
 from .errors import (
     DuplicateDeclarationError,
@@ -28,29 +29,14 @@ EventId = str
 
 TOP_NAME = "TOP"
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Immutable tuple records: they unpack, and compare equal to plain tuples.
+EventNode = namedtuple("EventNode", "id prior is_disorder", defaults=(None, False))
+EventNode.__doc__ = "A declared event; disorders must carry a prior in (0, 1]."
+CausalLink = namedtuple("CausalLink", "cause effect cond_prob")
+IsaLink = namedtuple("IsaLink", "child parent")
 
-
-@dataclass(frozen=True)
-class EventNode:
-    """A declared event; disorders must carry a prior in (0, 1]."""
-
-    id: EventId
-    prior: float | None = None
-    is_disorder: bool = False
-
-
-@dataclass(frozen=True)
-class CausalLink:
-    cause: EventId
-    effect: EventId
-    cond_prob: float
-
-
-@dataclass(frozen=True)
-class IsaLink:
-    child: EventId
-    parent: EventId
+_BY_ID = itemgetter(0)
+_BY_PAIR = itemgetter(0, 1)
 
 
 class CausalNetwork:
@@ -72,7 +58,6 @@ class CausalNetwork:
         "_links_by_cause",
         "_links_by_effect",
         "_parents",
-        "_children",
         "_isa_star",
     )
 
@@ -82,81 +67,82 @@ class CausalNetwork:
         causal: tuple[CausalLink, ...],
         isa: tuple[IsaLink, ...],
     ):
-        events = tuple(sorted(events, key=lambda n: n.id))
-        causal = tuple(sorted(causal, key=lambda l: (l.cause, l.effect)))
-        isa = tuple(sorted(isa, key=lambda l: (l.child, l.parent)))
+        events = tuple(sorted(events, key=_BY_ID))
+        causal = tuple(sorted(causal, key=_BY_PAIR))
+        isa = tuple(sorted(isa, key=_BY_PAIR))
         if not events:
             raise ParseError("network declares no events")
 
         nodes: dict[EventId, EventNode] = {}
         for node in events:
-            if node.id in nodes:
-                raise DuplicateDeclarationError(f"event {node.id} declared twice")
-            if node.prior is not None and not 0.0 < node.prior <= 1.0:
-                raise ProbabilityOutOfRangeError(
-                    f"prior {node.prior!r} of {node.id} not in (0, 1]"
-                )
-            if node.is_disorder and node.prior is None:
-                raise MissingDisorderPriorError(f"disorder {node.id} has no prior")
-            nodes[node.id] = node
+            e, prior, is_disorder = node
+            if e in nodes:
+                raise DuplicateDeclarationError(f"event {e} declared twice")
+            if prior is not None and not 0.0 < prior <= 1.0:
+                raise ProbabilityOutOfRangeError(f"prior {prior!r} of {e} not in (0, 1]")
+            if is_disorder and prior is None:
+                raise MissingDisorderPriorError(f"disorder {e} has no prior")
+            nodes[e] = node
 
+        # Links arrive sorted by pair: every list below fills in sorted
+        # order, and a repeated isa link directly follows its twin.
         cond: dict[tuple[EventId, EventId], float] = {}
-        for link in causal:
-            for end in (link.cause, link.effect):
-                if end not in nodes:
-                    raise UnknownEventError(f"unknown event: {end}")
-            if (link.cause, link.effect) in cond:
-                raise DuplicateDeclarationError(
-                    f"cause {link.cause} {link.effect} declared twice"
-                )
-            if not 0.0 < link.cond_prob <= 1.0:
-                raise ProbabilityOutOfRangeError(
-                    f"p={link.cond_prob!r} of {link.cause}->{link.effect} not in (0, 1]"
-                )
-            if link.cause == link.effect:
-                raise UnionCycleError([link.cause])
-            cond[(link.cause, link.effect)] = link.cond_prob
+        effects: dict[EventId, list[EventId]] = {}
+        causes: dict[EventId, list[EventId]] = {}
+        for x, y, p in causal:
+            if x not in nodes:
+                raise UnknownEventError(f"unknown event: {x}")
+            if y not in nodes:
+                raise UnknownEventError(f"unknown event: {y}")
+            if (x, y) in cond:
+                raise DuplicateDeclarationError(f"cause {x} {y} declared twice")
+            if not 0.0 < p <= 1.0:
+                raise ProbabilityOutOfRangeError(f"p={p!r} of {x}->{y} not in (0, 1]")
+            if x == y:
+                raise UnionCycleError([x])
+            cond[(x, y)] = p
+            effects.setdefault(x, []).append(y)
+            causes.setdefault(y, []).append(x)
 
-        parents: dict[EventId, list[EventId]] = {n.id: [] for n in events}
-        children: dict[EventId, list[EventId]] = {n.id: [] for n in events}
-        seen_isa: set[tuple[EventId, EventId]] = set()
-        for link in isa:
-            for end in (link.child, link.parent):
-                if end not in nodes:
-                    raise UnknownEventError(f"unknown event: {end}")
-            pair = (link.child, link.parent)
-            if pair in seen_isa:
-                raise DuplicateDeclarationError(
-                    f"isa {link.child} {link.parent} declared twice"
-                )
+        parents: dict[EventId, list[EventId]] = {}
+        for pair in isa:
+            c, p = pair
+            if c not in nodes:
+                raise UnknownEventError(f"unknown event: {c}")
+            if p not in nodes:
+                raise UnknownEventError(f"unknown event: {p}")
+            got = parents.setdefault(c, [])
+            if got and got[-1] == p:
+                raise DuplicateDeclarationError(f"isa {c} {p} declared twice")
             if pair in cond:
-                raise DuplicateDeclarationError(
-                    f"{link.child} -> {link.parent} declared as both cause and isa"
-                )
-            seen_isa.add(pair)
-            parents[link.child].append(link.parent)
-            children[link.parent].append(link.child)
+                raise DuplicateDeclarationError(f"{c} -> {p} declared as both cause and isa")
+            got.append(p)
+
+        self._links_by_cause = {x: tuple(ys) for x, ys in effects.items()}
+        self._links_by_effect = {y: tuple(xs) for y, xs in causes.items()}
+        self._parents = {e: tuple(parents.get(e, ())) for e in nodes}
+
+        # One search over the union, which holds every isa cycle too; the
+        # isa cycle takes precedence, so only then is the isa relation
+        # searched alone.  A pair is never both a cause and an isa link, so
+        # each event's two lists are disjoint.
+        by_cause = self._links_by_cause
+        union = {
+            e: sorted(by_cause.get(e, ()) + ps) if ps else by_cause.get(e, ())
+            for e, ps in self._parents.items()
+        }
+        cycle = _find_cycle(union)
+        if cycle:
+            isa_cycle = _find_cycle(self._parents)
+            if isa_cycle:
+                raise IsaCycleError(isa_cycle)
+            raise UnionCycleError(cycle)
 
         self.events = events
         self.causal = causal
         self.isa = isa
         self._nodes = nodes
         self._cond = cond
-        self._links_by_cause = _group(cond, 0)
-        self._links_by_effect = _group(cond, 1)
-        self._parents = {k: tuple(sorted(v)) for k, v in parents.items()}
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
-
-        cycle = _find_cycle({k: v for k, v in self._parents.items()})
-        if cycle:
-            raise IsaCycleError(cycle)
-        union_adj = {n.id: sorted(self._links_by_cause.get(n.id, ())) for n in events}
-        for child, ps in self._parents.items():
-            union_adj[child] = sorted(set(union_adj[child]) | set(ps))
-        cycle = _find_cycle(union_adj)
-        if cycle:
-            raise UnionCycleError(cycle)
-
         self._isa_star: dict[EventId, frozenset[EventId]] = {}
         self.top = TOP_NAME if TOP_NAME in nodes else None
 
@@ -229,23 +215,17 @@ class CausalNetwork:
         )
 
 
-def _group(cond: dict[tuple[EventId, EventId], float], side: int) -> dict[EventId, tuple[EventId, ...]]:
-    out: dict[EventId, list[EventId]] = {}
-    for pair in cond:
-        out.setdefault(pair[side], []).append(pair[1 - side])
-    return {k: tuple(sorted(v)) for k, v in out.items()}
-
-
 def _find_cycle(adj: dict[str, object]) -> list[str] | None:
-    """Return one directed cycle of adj as a node list, or None."""
+    """Return one directed cycle of adj as a node list, or None.  The
+    search starts from each key in adj's order."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in adj}
-    for start in sorted(adj):
+    color = dict.fromkeys(adj, WHITE)
+    for start in adj:
         if color[start] != WHITE:
             continue
         color[start] = GRAY
         path = [start]
-        pending = [iter(adj.get(start, ()))]
+        pending = [iter(adj[start])]
         while pending:
             for w in pending[-1]:
                 if color[w] == GRAY:
@@ -253,7 +233,7 @@ def _find_cycle(adj: dict[str, object]) -> list[str] | None:
                 if color[w] == WHITE:
                     color[w] = GRAY
                     path.append(w)
-                    pending.append(iter(adj.get(w, ())))
+                    pending.append(iter(adj[w]))
                     break
             else:
                 color[path.pop()] = BLACK
@@ -270,19 +250,22 @@ def parse_network(text: str) -> CausalNetwork:
     Lines are ``event <id> [prior=<float>] [disorder]``,
     ``isa <child> <parent>`` and ``cause <x> <y> p=<float>``.  ``#`` starts
     a comment and blank lines are ignored.  Declaration order is irrelevant:
-    links may appear before the events they mention.
+    links may appear before the events they mention.  A repeated event, a
+    repeated token on an event line and a repeated link (or a pair declared
+    both as cause and as isa) are reported at their later line.
     """
     events: list[EventNode] = []
     causal: list[CausalLink] = []
     isa: list[IsaLink] = []
-    declared: dict[EventId, int] = {}
+    declared: set[EventId] = set()
+    links: dict[tuple[EventId, EventId], str] = {}
 
-    lines = text.splitlines()
-    for no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         toks = line.split()
+        if not toks:
+            continue
         kind = toks[0]
         if kind == "event":
             if len(toks) < 2:
@@ -292,34 +275,49 @@ def parse_network(text: str) -> CausalNetwork:
             disorder = False
             for tok in toks[2:]:
                 if tok == "disorder":
+                    if disorder:
+                        raise ParseError(f"repeated token {tok!r}", no, tok)
                     disorder = True
                 elif tok.startswith("prior="):
-                    prior = _prob(tok[len("prior="):], no, tok)
+                    if prior is not None:
+                        raise ParseError(f"repeated token {tok!r}", no, tok)
+                    prior = _prob(tok[6:], no, tok)
                 else:
                     raise ParseError(f"unexpected token {tok!r}", no, tok)
             if name in declared:
                 raise DuplicateDeclarationError(f"event {name} declared twice", no)
-            declared[name] = no
+            declared.add(name)
             events.append(EventNode(name, prior, disorder))
+            continue
+        if kind == "cause":
+            if len(toks) != 4 or not toks[3].startswith("p="):
+                raise ParseError("cause needs two events and p=<float>", no)
+            p = _prob(toks[3][2:], no, toks[3])
+            x, y = _ident(toks[1], no), _ident(toks[2], no)
+            causal.append(CausalLink(x, y, p))
         elif kind == "isa":
             if len(toks) != 3:
                 raise ParseError("isa needs exactly two event names", no)
-            isa.append(IsaLink(_ident(toks[1], no), _ident(toks[2], no)))
-        elif kind == "cause":
-            if len(toks) != 4 or not toks[3].startswith("p="):
-                raise ParseError("cause needs two events and p=<float>", no)
-            p = _prob(toks[3][len("p="):], no, toks[3])
-            causal.append(CausalLink(_ident(toks[1], no), _ident(toks[2], no), p))
+            x, y = _ident(toks[1], no), _ident(toks[2], no)
+            isa.append(IsaLink(x, y))
         else:
             raise ParseError(f"unknown directive {kind!r}", no, kind)
+        first = links.get((x, y))
+        if first == kind:
+            raise DuplicateDeclarationError(f"{kind} {x} {y} declared twice", no)
+        if first is not None:
+            raise DuplicateDeclarationError(f"{x} -> {y} declared as both cause and isa", no)
+        links[(x, y)] = kind
 
-    return CausalNetwork(tuple(events), tuple(causal), tuple(isa))
+    return CausalNetwork(events, causal, isa)
 
 
 def _ident(tok: str, no: int) -> str:
-    if not _ID_RE.match(tok):
-        raise ParseError(f"bad event id {tok!r}", no, tok)
-    return tok
+    """tok, interned, if it is an ASCII identifier: a letter or ``_``, then
+    letters, digits and ``_``."""
+    if tok.isidentifier() and tok.isascii():
+        return sys.intern(tok)
+    raise ParseError(f"bad event id {tok!r}", no, tok)
 
 
 def _prob(text: str, no: int, tok: str) -> float:

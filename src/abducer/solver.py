@@ -494,7 +494,9 @@ class _CandidateStream:
     then yields the unconstrained stream's trees minus those that hold a
     rule edge out of r's climb or out of an event they enter by isa, in
     the same order with the same weights.  ``explain`` passes
-    ``_shadow_rule``, which computes each (r, x) once.
+    ``_shadow_rule``, which computes each (r, x) once, and gives the rule
+    and the stream one ``reach`` memo, so each root's reachable events
+    are walked once per query.
     """
 
     def __init__(
@@ -504,10 +506,12 @@ class _CandidateStream:
         terminals: Iterable[str],
         stats: SolveStats | None = None,
         shadowed: Callable[[str, str], frozenset[EdgeKey]] | None = None,
+        reach: Callable[[str], frozenset[EventId]] | None = None,
     ):
         self.net = net
         self.g = g = build_search_graph(net)
         self.shadowed = shadowed
+        self.reach = reach or _reach_memo(net)
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         self._term_set = frozenset(self.terminals)
@@ -546,7 +550,7 @@ class _CandidateStream:
         cached = self._ext_cache.get(root)
         if cached is None:
             out = self.g.out_edges
-            causal = [e for v in reachable(self.net, root) for e in out.get(v, ()) if e.kind == "cause"]
+            causal = [e for v in self.reach(root) for e in out.get(v, ()) if e.kind == "cause"]
             cached = self._ext_cache[root] = tuple(sorted(causal, key=lambda e: e.key))
         return cached
 
@@ -644,17 +648,26 @@ class _CandidateStream:
                 sup_forbidden.add(f)
 
 
-def _shadow_rule(net: CausalNetwork) -> Callable[[str, str], frozenset[EdgeKey]]:
-    """``scenario.shadowed_below`` on net, computed once per (root, x) and
-    finding each root's reachable events at most once."""
+def _reach_memo(net: CausalNetwork) -> Callable[[str], frozenset[EventId]]:
+    """``scenario.reachable`` on net, walked at most once per root."""
     reached: dict[str, frozenset[EventId]] = {}
-    memo: dict[tuple[str, str], frozenset[EdgeKey]] = {}
 
     def reach(root: str) -> frozenset[EventId]:
         got = reached.get(root)
         if got is None:
             got = reached[root] = reachable(net, root)
         return got
+
+    return reach
+
+
+def _shadow_rule(
+    net: CausalNetwork, reach: Callable[[str], frozenset[EventId]]
+) -> Callable[[str, str], frozenset[EdgeKey]]:
+    """``scenario.shadowed_below`` on net, computed once per (root, x),
+    with each root's reachable events from ``reach``, a ``_reach_memo`` of
+    net that the caller may share."""
+    memo: dict[tuple[str, str], frozenset[EdgeKey]] = {}
 
     def rule(root: str, x: str) -> frozenset[EdgeKey]:
         got = memo.get((root, x))
@@ -689,7 +702,8 @@ def explain(
 
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
-    stream = _CandidateStream(work, roots, obs, stats, _shadow_rule(work))
+    reach = _reach_memo(work)
+    stream = _CandidateStream(work, roots, obs, stats, _shadow_rule(work, reach), reach)
     for _, _, tree in stream:
         scenario = tree_to_scenario(work, tree)
         # Clean trees can still share a scenario: two isa routes from one

@@ -431,6 +431,9 @@ class TestImportGraph:
         loaded = modules_loaded_by(self.MAIN, command, fig2_path)
         assert self.package(loaded) == self.BASE
         assert "json" not in loaded
+        # The network records are named tuples, not dataclasses, which
+        # would pull in inspect (and with it ast, dis and tokenize).
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_explain_skips_recognition_and_oracle(self, modules_loaded_by, fig2_path):
         loaded = modules_loaded_by(self.MAIN, "explain", fig2_path, "--obs", "e,g")

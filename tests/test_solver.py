@@ -30,7 +30,7 @@ from abducer import (
 )
 from abducer.kb import TOP_NAME
 from abducer.scenario import log_weight, participants, shadowed_below, shadowed_links
-from abducer.solver import _build_problem, _canonicalize, _CandidateStream, _shadow_rule
+from abducer.solver import _build_problem, _canonicalize, _CandidateStream, _reach_memo, _shadow_rule
 from abducer.synth import (
     complexity_network,
     random_network,
@@ -674,6 +674,23 @@ class TestExplain:
             assert r.log_weight == pytest.approx(log_weight(fig2, r.scenario), abs=1e-12)
             assert math.exp(-r.log_weight) == pytest.approx(r.probability, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "obs, multi, walked",
+        [(["e", "g"], False, {"d": 1, "f": 1}), (["g"], True, {TOP_NAME: 1})],
+    )
+    def test_one_reachable_walk_per_root(self, fig2, monkeypatch, obs, multi, walked):
+        # The shadow rule and the stream's extension edges share one memo.
+        calls = []
+        walk = abducer.solver.reachable
+
+        def counted(net, root):
+            calls.append(root)
+            return walk(net, root)
+
+        monkeypatch.setattr(abducer.solver, "reachable", counted)
+        explain(fig2, obs, k=3, multi=multi)
+        assert {r: calls.count(r) for r in calls} == walked
+
 
 def _dense_query(seed, index):
     """Query ``index`` (0-based) of the dense family, whose 30 queries per
@@ -835,7 +852,7 @@ class TestShadowedLinks:
         )
         assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
         stats = SolveStats()
-        stream = _CandidateStream(net, ["c"], ["pv"], stats, _shadow_rule(net))
+        stream = _CandidateStream(net, ["c"], ["pv"], stats, _shadow_rule(net, _reach_memo(net)))
         _, _, tree = next(iter(stream))
         assert tree_to_scenario(net, tree) == Scenario.make("c", [("c", "pv")])
         assert stats.dp_runs == 2
