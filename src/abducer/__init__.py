@@ -56,7 +56,6 @@ _EXPORTS = {
     "participants": "scenario",
     "probability": "scenario",
     "DPTable": "solver",
-    "GraphEdge": "solver",
     "SolveStats": "solver",
     "SteinerTree": "solver",
     "WeightedSearchGraph": "solver",

@@ -177,7 +177,7 @@ class CausalNetwork:
         return self._links_by_effect.get(effect, ())
 
     def parents_of(self, e: EventId) -> tuple[EventId, ...]:
-        return self._parents[e]
+        return self._parents.get(e, ())
 
     def isa_star(self, e: EventId) -> frozenset[EventId]:
         """All events reachable from e by zero or more isa steps."""

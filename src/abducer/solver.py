@@ -72,72 +72,58 @@ MAX_TERMINALS = 20
 EdgeKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    src: str
-    dst: str
-    weight: float
-    kind: str  # "cause" or "isa"
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.src, self.dst)
-
-
 class WeightedSearchGraph:
-    """Immutable weighted digraph over event ids.
+    """Immutable weighted digraph over event ids; an edge is its
+    ``(src, dst)`` key.
 
-    ``in_edges`` lists each node's in-edges lightest first, ties broken by
-    source; ``out_edges`` lists each node's out-edges by head.
+    ``weight`` maps each key to its weight: the ``causal`` keys carry the
+    given weights and every other edge is an isa edge of weight zero.
+    ``in_edges[v]`` lists v's in-edges as ``(weight, src, key)``, lightest
+    first, ties broken by source; ``out_edges[v]`` lists v's out-edge keys
+    by head.
     """
 
-    __slots__ = (
-        "nodes", "node_set", "edges", "node_weight", "edge_by_key", "in_edges", "out_edges",
-    )
+    __slots__ = ("node_set", "node_weight", "weight", "causal", "in_edges", "out_edges")
 
     def __init__(
         self,
         nodes: Iterable[str],
-        edges: Iterable[GraphEdge],
+        causal: dict[EdgeKey, float],
+        isa: Iterable[EdgeKey],
         node_weight: dict[str, float],
     ):
-        self.nodes = tuple(sorted(nodes))
-        self.node_set = frozenset(self.nodes)
-        self.edges = tuple(sorted(edges, key=lambda e: (e.src, e.dst)))
+        self.node_set = frozenset(nodes)
         self.node_weight = dict(node_weight)
-        self.edge_by_key = {e.key: e for e in self.edges}
-        ins: dict[str, list[GraphEdge]] = {}
-        outs: dict[str, list[GraphEdge]] = {}
-        for e in self.edges:
-            ins.setdefault(e.dst, []).append(e)
-            outs.setdefault(e.src, []).append(e)
-        self.in_edges = {
-            v: tuple(sorted(es, key=lambda e: (e.weight, e.src))) for v, es in ins.items()
-        }
-        self.out_edges = {v: tuple(es) for v, es in outs.items()}
+        self.causal = frozenset(causal)
+        self.weight = {**causal, **dict.fromkeys(isa, 0.0)}
+        ins: dict[str, list[tuple[float, str, EdgeKey]]] = {}
+        outs: dict[str, list[EdgeKey]] = {}
+        for k in sorted(self.weight):
+            ins.setdefault(k[1], []).append((self.weight[k], k[0], k))
+            outs.setdefault(k[0], []).append(k)
+        self.in_edges = {v: tuple(sorted(es)) for v, es in ins.items()}
+        self.out_edges = {v: tuple(ks) for v, ks in outs.items()}
 
 
 def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
     """Causal edges ln(1/p), isa edges 0, disorder node weights ln(1/prior)."""
-    edges = [
-        GraphEdge(l.cause, l.effect, math.log(1.0 / l.cond_prob), "cause")
-        for l in net.causal
-    ]
-    edges += [GraphEdge(l.child, l.parent, 0.0, "isa") for l in net.isa]
+    causal = {(l.cause, l.effect): math.log(1.0 / l.cond_prob) for l in net.causal}
+    isa = [(l.child, l.parent) for l in net.isa]
     node_weight = {
         n.id: math.log(1.0 / n.prior)
         for n in net.events
         if n.is_disorder and n.prior is not None
     }
-    return WeightedSearchGraph((n.id for n in net.events), edges, node_weight)
+    return WeightedSearchGraph((n.id for n in net.events), causal, isa, node_weight)
 
 
 @dataclass(frozen=True)
 class SteinerTree:
-    """An arborescence; edges are listed in root-down BFS order."""
+    """An arborescence; its edges are ``(src, dst)`` keys in root-down BFS
+    order, the format ``steiner_dp`` takes its constraints in."""
 
     root: str
-    edges: tuple[GraphEdge, ...]
+    edges: tuple[EdgeKey, ...]
     terminals: frozenset[str]
     total_weight: float
 
@@ -195,19 +181,19 @@ class _Problem:
         self.term_nodes = term_nodes
         self.forced_edges = forced_edges
         self.terminals = terminals
-        self.in_adj: dict[str, list[tuple[float, str, GraphEdge]]] = {}
+        self.in_adj: dict[str, list[tuple[float, str, EdgeKey]]] = {}
 
-    def in_edges(self, v: str) -> list[tuple[float, str, GraphEdge]]:
-        """(weight, super source, edge) for the edges into super node v."""
+    def in_edges(self, v: str) -> list[tuple[float, str, EdgeKey]]:
+        """(weight, super source, key) for the edges into super node v."""
         adj = self.in_adj.get(v)
         if adj is None:
             adj = self.in_adj[v] = []
             seen = {v}
-            for e in self.g.in_edges.get(v, ()):
-                su = self.super_of.get(e.src, e.src)
-                if su not in seen and (e.src, v) not in self.forbidden:
+            for w, src, k in self.g.in_edges.get(v, ()):
+                su = self.super_of.get(src, src)
+                if su not in seen and k not in self.forbidden:
                     seen.add(su)
-                    adj.append((e.weight, su, e))
+                    adj.append((w, su, k))
         return adj
 
 
@@ -218,13 +204,13 @@ def _build_problem(
     forced_keys: frozenset[EdgeKey],
     forbidden_keys: frozenset[EdgeKey],
 ) -> "_Problem | None":
-    forced_edges = tuple(g.edge_by_key[k] for k in sorted(forced_keys))
+    forced_edges = tuple(sorted(forced_keys))
 
-    head_of: dict[str, GraphEdge] = {}
-    for e in forced_edges:
-        if e.dst in head_of:
+    head_of: dict[str, str] = {}
+    for src, dst in forced_edges:
+        if dst in head_of:
             return None
-        head_of[e.dst] = e
+        head_of[dst] = src
     if root in head_of:
         return None
     # Each chain's top is found once: a walk stops at the first node whose
@@ -239,7 +225,7 @@ def _build_problem(
                 return None
             path.append(u)
             on_path.add(u)
-            u = head_of[u].src
+            u = head_of[u]
         top = super_of.get(u, u)
         for w in path:
             super_of[w] = top
@@ -298,17 +284,17 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
             if es is None:
                 es = in_edges(v)
             relaxations += len(es)
-            for w, u, e in es:
+            for w, u, k in es:
                 nd = d + w
                 if nd < dist.get(u, inf):
                     dist[u] = nd
-                    backs[(u, mask)] = ("edge", v, e)
+                    backs[(u, mask)] = ("edge", v, k)
                     heapq.heappush(heap, (nd, u))
     table.relaxations += relaxations
     return by_mask
 
 
-def _trace(table: DPTable, node: str, mask: int, acc: set[GraphEdge]) -> None:
+def _trace(table: DPTable, node: str, mask: int, acc: set[EdgeKey]) -> None:
     todo = [(node, mask)]
     while todo:
         node, mask = todo.pop()
@@ -319,34 +305,36 @@ def _trace(table: DPTable, node: str, mask: int, acc: set[GraphEdge]) -> None:
             todo.append((node, back[1]))
             todo.append((node, mask ^ back[1]))
         elif back[0] == "edge":
-            _, nxt, edge = back
-            acc.add(edge)
+            _, nxt, k = back
+            acc.add(k)
             todo.append((nxt, mask))
 
 
-def _canonicalize(root: str, edges: Iterable[GraphEdge], terminals: Iterable[str]) -> tuple[tuple[GraphEdge, ...], float]:
-    """Extract a deterministic arborescence from a traced edge set."""
-    out: dict[str, list[GraphEdge]] = {}
-    for e in set(edges):
-        out.setdefault(e.src, []).append(e)
-    for es in out.values():
-        es.sort(key=lambda e: e.dst)
+def _canonicalize(
+    g: WeightedSearchGraph, root: str, keys: Iterable[EdgeKey], terminals: Iterable[str]
+) -> tuple[tuple[EdgeKey, ...], float]:
+    """Extract a deterministic arborescence from a traced key set."""
+    out: dict[str, list[EdgeKey]] = {}
+    for k in set(keys):
+        out.setdefault(k[0], []).append(k)
+    for ks in out.values():
+        ks.sort()
     visited = {root}
     queue = [root]
-    chosen: list[GraphEdge] = []
+    chosen: list[EdgeKey] = []
     while queue:
         v = queue.pop(0)
-        for e in out.get(v, ()):
-            if e.dst not in visited:
-                visited.add(e.dst)
-                chosen.append(e)
-                queue.append(e.dst)
+        for k in out.get(v, ()):
+            if k[1] not in visited:
+                visited.add(k[1])
+                chosen.append(k)
+                queue.append(k[1])
     missing = set(terminals) - visited
     if missing:
         raise AssertionError(f"tree misses terminals {sorted(missing)}")
     weight = 0.0
-    for e in sorted(chosen, key=lambda e: (e.src, e.dst)):
-        weight += e.weight
+    for k in sorted(chosen):
+        weight += g.weight[k]
     return tuple(chosen), weight
 
 
@@ -355,13 +343,18 @@ def _extract(
 ) -> SteinerTree | None:
     # A root is never the head of a forced edge, so it is its own super node.
     full = (1 << len(problem.term_nodes)) - 1
-    acc: set[GraphEdge] = set(problem.forced_edges)
+    acc: set[EdgeKey] = set(problem.forced_edges)
     if full:
         if root not in by_mask[full]:
             return None
         _trace(table, root, full, acc)
-    edges, weight = _canonicalize(root, acc, problem.terminals)
+    edges, weight = _canonicalize(problem.g, root, acc, problem.terminals)
     return SteinerTree(root, edges, frozenset(problem.terminals), weight)
+
+
+def _check_terminal_count(terms: tuple[str, ...]) -> None:
+    if len(terms) > MAX_TERMINALS:
+        raise TooManyTerminalsError(f"{len(terms)} terminals exceed {MAX_TERMINALS}")
 
 
 def steiner_dp(
@@ -374,7 +367,8 @@ def steiner_dp(
     """Minimum arborescence rooted at root covering the terminals.
 
     ``forced`` edges must appear in the tree (realized by contracting them),
-    ``forbidden`` edges must not; both are given as ``(src, dst)`` keys.
+    ``forbidden`` edges must not; both are given as ``(src, dst)`` tuples,
+    the format of ``SteinerTree.edges``.
     Returns (None, table) when no tree exists.
     """
     term_set = frozenset(terminals)
@@ -384,13 +378,12 @@ def steiner_dp(
     if not term_set <= g.node_set:
         t = next(t for t in terms if t not in g.node_set)
         raise UnknownEventError(f"unknown event: {t}")
-    if len(terms) > MAX_TERMINALS:
-        raise TooManyTerminalsError(f"{len(terms)} terminals exceed {MAX_TERMINALS}")
-    forced_keys = forced if isinstance(forced, frozenset) else frozenset((s, d) for s, d in forced)
-    forbidden_keys = forbidden if isinstance(forbidden, frozenset) else frozenset((s, d) for s, d in forbidden)
-    if not (g.edge_by_key.keys() >= forced_keys and forced_keys.isdisjoint(forbidden_keys)):
+    _check_terminal_count(terms)
+    forced_keys = frozenset(forced)
+    forbidden_keys = frozenset(forbidden)
+    if not (g.weight.keys() >= forced_keys and forced_keys.isdisjoint(forbidden_keys)):
         for k in sorted(forced_keys):
-            if k not in g.edge_by_key:
+            if k not in g.weight:
                 raise InconsistentConstraintsError(f"forced edge {k[0]}->{k[1]} not in graph")
             if k in forbidden_keys:
                 raise InconsistentConstraintsError(f"edge {k[0]}->{k[1]} both forced and forbidden")
@@ -404,13 +397,14 @@ def steiner_dp(
 
 
 def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
-    """Drop isa edges; the causal edges become the scenario's causations.
+    """Drop the edges that are isa links of net; the others become the
+    scenario's causations.
 
     The shape is not checked here: ``is_valid_scenario`` rejects an effect
     caused twice, a caused culprit, a link that cannot attach and a
     non-link.
     """
-    return Scenario.make(tree.root, [(e.src, e.dst) for e in tree.edges if e.kind == "cause"])
+    return Scenario.make(tree.root, [k for k in tree.edges if k[1] not in net.parents_of(k[0])])
 
 
 class _CandidateStream:
@@ -433,7 +427,7 @@ class _CandidateStream:
     the forced edge's weight for an extension child, both less
     ``WEIGHT_TIE_TOL`` so that float rounding never lets a tree overtake a
     child that could tie with it.  ``-1`` sorts before every tree key
-    ``(w, len(edges), keys, root)``, so a child is solved (and its tree
+    ``(w, len(edges), edges, root)``, so a child is solved (and its tree
     pushed under its real key) before any tree it could precede, and the
     yield order is that of solving every child eagerly.  An extension edge
     whose head is already in the tree would give that node two parents, so
@@ -514,11 +508,12 @@ class _CandidateStream:
         self.reach = reach or _reach_memo(net)
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
+        _check_terminal_count(self.terminals)
         self._term_set = frozenset(self.terminals)
         self.stats = stats
         self._counter = itertools.count()
         self._heap: list[tuple] = []
-        self._ext_cache: dict[str, tuple[GraphEdge, ...]] = {}
+        self._ext_cache: dict[str, tuple[EdgeKey, ...]] = {}
         base_table = DPTable()
         base_problem = _Problem(g, frozenset(), {}, self.terminals, (), self.terminals)
         by_mask = _run_dp(base_problem, base_table)
@@ -529,7 +524,7 @@ class _CandidateStream:
             if tree is None:
                 continue
             banned = self._banned(r)
-            if any(e.key in banned for e in tree.edges):
+            if not banned.isdisjoint(tree.edges):
                 lb = self._root_weight(r) + tree.total_weight - WEIGHT_TIE_TOL
                 self._defer(lb, r, frozenset(), banned)
             else:
@@ -545,18 +540,18 @@ class _CandidateStream:
         climb = self.net.isa_star(root)
         return frozenset().union(*(self.shadowed(root, x) for x in climb if x != root))
 
-    def _extension_edges(self, root: str) -> tuple[GraphEdge, ...]:
+    def _extension_edges(self, root: str) -> tuple[EdgeKey, ...]:
         """The causal edges whose source root reaches, in key order."""
         cached = self._ext_cache.get(root)
         if cached is None:
-            out = self.g.out_edges
-            causal = [e for v in self.reach(root) for e in out.get(v, ()) if e.kind == "cause"]
-            cached = self._ext_cache[root] = tuple(sorted(causal, key=lambda e: e.key))
+            out, causal = self.g.out_edges, self.g.causal
+            keys = [k for v in self.reach(root) for k in out.get(v, ()) if k in causal]
+            cached = self._ext_cache[root] = tuple(sorted(keys))
         return cached
 
     def _push(self, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
         w = self._root_weight(root) + tree.total_weight
-        key = (w, len(tree.edges), tuple(e.key for e in tree.edges), root)
+        key = (w, len(tree.edges), tree.edges, root)
         heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
 
     def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, grown=None) -> None:
@@ -564,7 +559,7 @@ class _CandidateStream:
 
     def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset, grown) -> None:
         if grown is not None:
-            edges, w = _canonicalize(root, grown, self.terminals)
+            edges, w = _canonicalize(self.g, root, grown, self.terminals)
             child = SteinerTree(root, edges, frozenset(self.terminals), w)
         else:
             child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
@@ -576,23 +571,24 @@ class _CandidateStream:
     def _repair(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
         """Replace an unclean tree's subspace by children holding its clean
         trees; False, with nothing deferred, when the tree is clean."""
-        srcs = {e.src for e in tree.edges}
-        causes = {e.src for e in tree.edges if e.kind == "cause"}
+        causal = self.g.causal
+        srcs = {k[0] for k in tree.edges}
+        causes = {k[0] for k in tree.edges if k in causal}
         for e in tree.edges:
-            if e.kind == "isa" and e.dst not in (causes if e.dst in self._term_set else srcs):
+            if e not in causal and e[1] not in (causes if e[1] in self._term_set else srcs):
                 break
         else:
             return False
-        x = e.dst
+        x = e[1]
         causal_only = x in self._term_set
-        if e.key not in forced:
-            self._defer(lb, root, forced, forbidden | {e.key})
+        if e not in forced:
+            self._defer(lb, root, forced, forbidden | {e})
         skipped = set(forbidden)
         for out in self.g.out_edges.get(x, ()):
-            if out.key in skipped or (causal_only and out.kind != "cause"):
+            if out in skipped or (causal_only and out not in causal):
                 continue
-            self._defer(lb, root, forced | {e.key, out.key}, frozenset(skipped))
-            skipped.add(out.key)
+            self._defer(lb, root, forced | {e, out}, frozenset(skipped))
+            skipped.add(out)
         return True
 
     def _unshadow(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
@@ -601,18 +597,20 @@ class _CandidateStream:
         deferred, when it holds none."""
         if self.shadowed is None:
             return False
+        causal = self.g.causal
         climb = self.net.isa_star(root)
-        entered = {e.dst for e in tree.edges if e.kind == "isa" and e.dst not in climb}
+        entered = {k[1] for k in tree.edges if k not in causal and k[1] not in climb}
         for g_edge in tree.edges:
-            if g_edge.src in entered and g_edge.kind == "cause" and g_edge.key in self.shadowed(root, g_edge.src):
+            x = g_edge[0]
+            if x in entered and g_edge in causal and g_edge in self.shadowed(root, x):
                 break
         else:
             return False
-        if g_edge.key not in forced:
-            self._defer(lb, root, forced, forbidden | {g_edge.key})
-        isa_in = {e.key for e in self.g.in_edges.get(g_edge.src, ()) if e.kind == "isa"}
+        if g_edge not in forced:
+            self._defer(lb, root, forced, forbidden | {g_edge})
+        isa_in = {k for _, _, k in self.g.in_edges.get(x, ()) if k not in causal}
         if isa_in.isdisjoint(forced):
-            self._defer(lb, root, forced | {g_edge.key}, forbidden | isa_in)
+            self._defer(lb, root, forced | {g_edge}, forbidden | isa_in)
         return True
 
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
@@ -630,21 +628,21 @@ class _CandidateStream:
 
             prefix = set(forced)
             for e in tree.edges:
-                if e.key in forced:
+                if e in forced:
                     continue
-                self._defer(lb, root, frozenset(prefix), forbidden | {e.key})
-                prefix.add(e.key)
+                self._defer(lb, root, frozenset(prefix), forbidden | {e})
+                prefix.add(e)
 
-            tree_keys = frozenset(e.key for e in tree.edges)
-            heads = {root} | {e.dst for e in tree.edges}
+            tree_keys = frozenset(tree.edges)
+            heads = {root} | {k[1] for k in tree.edges}
             sup_forbidden = set(forbidden)
-            for f_edge in self._extension_edges(root):
-                f = f_edge.key
+            weight = self.g.weight
+            for f in self._extension_edges(root):
                 if f in tree_keys or f in sup_forbidden:
                     continue
                 if f[1] not in heads:
-                    grown = tree.edges + (f_edge,) if f[0] in heads else None
-                    self._defer(lb + f_edge.weight, root, tree_keys | {f}, frozenset(sup_forbidden), grown)
+                    grown = tree.edges + (f,) if f[0] in heads else None
+                    self._defer(lb + weight[f], root, tree_keys | {f}, frozenset(sup_forbidden), grown)
                 sup_forbidden.add(f)
 
 

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import abducer.solver
 from abducer import cli
 from abducer.cli import main
 from abducer.kb import serialize_network
@@ -111,6 +112,21 @@ class TestExplainText:
         code, _, err = run("explain", fig2_path, "--obs", "g", "--k", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_too_many_observations(self, run, tmp_path, monkeypatch):
+        # Refused before any DP starts: a DP here would span 2**21 masks.
+        def no_dp(*args):
+            raise AssertionError("a DP started")
+
+        monkeypatch.setattr(abducer.solver, "_run_dp", no_dp)
+        p = tmp_path / "star.cnet"
+        p.write_text("event d prior=0.5 disorder\n" + "".join(
+            f"event e{i}\ncause d e{i} p=0.5\n" for i in range(21)
+        ))
+        code, out, err = run("explain", p, "--obs", ",".join(f"e{i}" for i in range(21)))
+        assert code == 2
+        assert out == ""
+        assert err == "error: 21 terminals exceed 20\n"
 
     def test_empty_obs(self, run, fig2_path):
         code, _, err = run("explain", fig2_path, "--obs", ",")

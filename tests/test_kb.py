@@ -52,6 +52,9 @@ class TestParsing:
         assert fig2.parents_of("d") == ("b",)
         assert sorted(fig2.disorders) == ["c", "d", "f"]
 
+    def test_neighbour_lookups_agree_on_an_unknown_event(self, fig2):
+        assert fig2.effects_of("zz") == fig2.causes_of("zz") == fig2.parents_of("zz") == ()
+
     def test_isa_star_reflexive_transitive(self, fig2):
         assert fig2.isa_star("d") == frozenset({"d", "b", "a"})
         assert fig2.isa_star("a") == frozenset({"a"})

@@ -207,10 +207,8 @@ class TestRecognitionGraph:
 
     def test_edge_weights_follow_the_statistics(self, fruits):
         g = build_search_graph(fruits.to_causal_network())
-        assert g.edge_by_key[("grape", "taste=sour")].weight == pytest.approx(
-            math.log(30 / 12)
-        )
-        assert g.edge_by_key[("apple", "fruit")].weight == 0.0
+        assert g.weight[("grape", "taste=sour")] == pytest.approx(math.log(30 / 12))
+        assert g.weight[("apple", "fruit")] == 0.0
 
 
 class TestRecognize:

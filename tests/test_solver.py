@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import abducer.solver
 from abducer import (
     AbducerError,
-    GraphEdge,
     InconsistentConstraintsError,
     Scenario,
     SolveStats,
@@ -44,19 +43,20 @@ from strategies import networks_with_observations, tiny_networks
 class TestSearchGraph:
     def test_fig2_shape(self, fig2):
         g = build_search_graph(fig2)
-        assert len(g.nodes) == 7
-        assert len(g.edges) == 8
-        kinds = sorted(e.kind for e in g.edges)
+        assert len(g.node_set) == 7
+        assert len(g.weight) == 8
+        kinds = sorted("cause" if k in g.causal else "isa" for k in g.weight)
         assert kinds == ["cause"] * 4 + ["isa"] * 4
+        assert g.causal == {(l.cause, l.effect) for l in fig2.causal}
 
     def test_edge_weights(self, fig2):
         g = build_search_graph(fig2)
-        assert g.edge_by_key[("b", "e")].weight == pytest.approx(math.log(1 / 0.40))
-        assert g.edge_by_key[("a", "e")].weight == pytest.approx(math.log(1 / 0.30))
-        assert g.edge_by_key[("d", "g")].weight == pytest.approx(math.log(2.0))
-        assert g.edge_by_key[("f", "g")].weight == pytest.approx(math.log(1 / 0.60))
+        assert g.weight[("b", "e")] == pytest.approx(math.log(1 / 0.40))
+        assert g.weight[("a", "e")] == pytest.approx(math.log(1 / 0.30))
+        assert g.weight[("d", "g")] == pytest.approx(math.log(2.0))
+        assert g.weight[("f", "g")] == pytest.approx(math.log(1 / 0.60))
         for l in fig2.isa:
-            assert g.edge_by_key[(l.child, l.parent)].weight == 0.0
+            assert g.weight[(l.child, l.parent)] == 0.0
 
     def test_node_weights_only_for_disorders(self, fig2):
         g = build_search_graph(fig2)
@@ -67,15 +67,15 @@ class TestSearchGraph:
 
     def test_top_adds_free_root(self, fig2):
         g = build_search_graph(add_top(fig2))
-        assert len(g.nodes) == 8
-        assert len(g.edges) == 11
+        assert len(g.node_set) == 8
+        assert len(g.weight) == 11
         assert g.node_weight[TOP_NAME] == 0.0
-        assert g.edge_by_key[(TOP_NAME, "d")].weight == pytest.approx(math.log(20.0))
+        assert g.weight[(TOP_NAME, "d")] == pytest.approx(math.log(20.0))
 
     def test_adjacency_indexes(self, fig2):
         g = build_search_graph(fig2)
-        assert {e.dst for e in g.out_edges["f"]} == {"a", "g"}
-        assert {e.src for e in g.in_edges["e"]} == {"a", "b"}
+        assert {dst for _, dst in g.out_edges["f"]} == {"a", "g"}
+        assert {src for _, src, _ in g.in_edges["e"]} == {"a", "b"}
 
 
 class TestSteinerDp:
@@ -86,15 +86,15 @@ class TestSteinerDp:
         assert tree.root == "f"
         assert tree.terminals == frozenset({"e", "g"})
         assert tree.total_weight == pytest.approx(math.log(1 / (0.30 * 0.60)))
-        assert {e.key for e in tree.edges} == {("f", "a"), ("a", "e"), ("f", "g")}
+        assert set(tree.edges) == {("f", "a"), ("a", "e"), ("f", "g")}
 
     def test_edges_in_bfs_order(self, fig2):
         g = build_search_graph(fig2)
         tree, _ = steiner_dp(g, "f", ["e", "g"])
         seen = {tree.root}
-        for e in tree.edges:
-            assert e.src in seen
-            seen.add(e.dst)
+        for src, dst in tree.edges:
+            assert src in seen
+            seen.add(dst)
 
     def test_unreachable_terminal(self, fig2):
         g = build_search_graph(fig2)
@@ -140,13 +140,13 @@ class TestConstraints:
         g = build_search_graph(fig2)
         tree, _ = steiner_dp(g, "d", ["e"], forbidden=[("b", "e")])
         assert tree is not None
-        assert ("a", "e") in {e.key for e in tree.edges}
+        assert ("a", "e") in tree.edges
 
     def test_forced_edge_appears(self, fig2):
         g = build_search_graph(fig2)
         tree, _ = steiner_dp(g, "f", ["e"], forced=[("a", "e")])
         assert tree is not None
-        assert ("a", "e") in {e.key for e in tree.edges}
+        assert ("a", "e") in tree.edges
         assert tree_to_scenario(fig2, tree) == Scenario.make("f", [("a", "e")])
 
     def test_forcing_a_detour_costs_more(self, fig2):
@@ -175,15 +175,30 @@ class TestConstraints:
         tree, _ = steiner_dp(g, "e", ["e"], forced=[("a", "e")])
         assert tree is None
 
+    def test_a_trees_own_edges_forced_give_that_tree_back(self):
+        # Constraints and results share one edge format: forcing a tree's
+        # edges, as returned, returns the same tree, order and weight bits
+        # included.
+        compared = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = random_network(rng, max_events=8, max_causal=10, max_isa=6)
+            obs = random_observations(rng, net)
+            g = build_search_graph(net)
+            for root in net.disorders:
+                tree, _ = steiner_dp(g, root, obs)
+                if tree is None or not tree.edges:
+                    continue
+                again, _ = steiner_dp(g, root, obs, forced=tree.edges)
+                assert again == tree, seed
+                compared += 1
+        assert compared > 20
+
     def test_forced_cycle_impossible(self):
         # contraction must notice when the forced edges close a loop;
         # such a graph cannot come from a network, so build it directly
-        edges = [
-            GraphEdge("r", "a", 1.0, "cause"),
-            GraphEdge("a", "b", 1.0, "cause"),
-            GraphEdge("b", "a", 1.0, "cause"),
-        ]
-        g = WeightedSearchGraph(["r", "a", "b"], edges, {})
+        causal = {("r", "a"): 1.0, ("a", "b"): 1.0, ("b", "a"): 1.0}
+        g = WeightedSearchGraph(["r", "a", "b"], causal, (), {})
         tree, _ = steiner_dp(g, "r", ["a"], forced=[("a", "b"), ("b", "a")])
         assert tree is None
 
@@ -221,7 +236,7 @@ class TestConstraints:
                 parents = int(rng.random() < (0.03 if v == root else 0.7)) + int(rng.random() < 0.03)
                 for _ in range(parents):
                     forced.add((rng.choice([u for u in nodes if u != v]), v))
-            g = WeightedSearchGraph(nodes, [GraphEdge(u, v, 1.0, "cause") for u, v in forced], {})
+            g = WeightedSearchGraph(nodes, dict.fromkeys(forced, 1.0), (), {})
             problem = _build_problem(g, root, (), frozenset(forced), frozenset())
             want = naive(root, forced)
             assert (None if problem is None else problem.super_of) == want, seed
@@ -231,27 +246,28 @@ class TestConstraints:
 
 def _arborescences(g, root, forced=frozenset(), forbidden=frozenset()):
     """Every arborescence rooted at root that holds every forced edge key
-    and no forbidden one, as (edges, reached nodes, weight)."""
-    for r in range(len(g.edges) + 1):
-        for combo in itertools.combinations(g.edges, r):
-            keys = {e.key for e in combo}
+    and no forbidden one, as (edge keys, reached nodes, weight)."""
+    edges = sorted(g.weight)
+    for r in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            keys = set(combo)
             if not forced <= keys or keys & forbidden:
                 continue
-            dsts = [e.dst for e in combo]
+            dsts = [dst for _, dst in combo]
             if len(set(dsts)) != len(dsts) or root in dsts:
                 continue
             reached = {root}
             left = list(combo)
             while left:
-                usable = [e for e in left if e.src in reached]
+                usable = [k for k in left if k[0] in reached]
                 if not usable:
                     break
-                for e in usable:
-                    reached.add(e.dst)
-                    left.remove(e)
+                for k in usable:
+                    reached.add(k[1])
+                    left.remove(k)
             if left:
                 continue
-            yield combo, reached, sum(e.weight for e in combo)
+            yield combo, reached, sum(g.weight[k] for k in combo)
 
 
 def _cheapest_arborescence(g, root, terminals, forced=frozenset(), forbidden=frozenset()):
@@ -289,9 +305,9 @@ class TestDpOptimality:
             tree = _dp_agrees_with_sweep(g, root, effects)
             if tree is None or not tree.edges:
                 continue
-            keys = sorted(e.key for e in tree.edges)
+            keys = sorted(tree.edges)
             forced = frozenset(data.draw(st.lists(st.sampled_from(keys), unique=True)))
-            others = sorted(set(g.edge_by_key) - forced)
+            others = sorted(set(g.weight) - forced)
             forbidden = frozenset([data.draw(st.sampled_from(others))] if others else [])
             _dp_agrees_with_sweep(g, root, effects, forced, forbidden)
 
@@ -304,15 +320,12 @@ def _dp_agrees_with_sweep(g, root, terminals, forced=frozenset(), forbidden=froz
         return None
     assert tree is not None
     assert tree.total_weight == pytest.approx(want, abs=1e-9)
-    keys = {e.key for e in tree.edges}
+    keys = set(tree.edges)
     assert forced <= keys and not forbidden & keys
     return tree
 
 
 class TestTreeToScenario:
-    def edge(self, src, dst, kind="cause", w=1.0):
-        return GraphEdge(src, dst, w, kind)
-
     def test_isa_edges_are_dropped(self, fig2):
         g = build_search_graph(fig2)
         tree, _ = steiner_dp(g, "f", ["e", "g"])
@@ -325,20 +338,20 @@ class TestTreeToScenario:
         return is_valid_scenario(net, tree_to_scenario(net, SteinerTree(root, edges, frozenset(), 0.0)))
 
     def test_two_parents_rejected(self, fig2):
-        got = self.verdict(fig2, "c", self.edge("a", "e"), self.edge("b", "e"))
+        got = self.verdict(fig2, "c", ("a", "e"), ("b", "e"))
         assert not got and got.reason == "effect e caused by more than one link"
 
     def test_edge_into_root_rejected(self, fig2):
-        got = self.verdict(fig2, "e", self.edge("a", "e"))
+        got = self.verdict(fig2, "e", ("a", "e"))
         assert not got and got.reason == "culprit e appears as an effect"
 
     def test_disconnected_edge_rejected(self, fig2):
-        got = self.verdict(fig2, "c", self.edge("b", "e"))
+        got = self.verdict(fig2, "c", ("b", "e"))
         assert not got and got.reason.startswith("unattachable")
 
     def test_phantom_link_rejected(self, fig2):
         with pytest.raises(UnknownLinkError):
-            self.verdict(fig2, "c", self.edge("c", "g"))
+            self.verdict(fig2, "c", ("c", "g"))
 
 
 # Stream sequences as (weight to 12 places, root, edges in tree order).
@@ -380,15 +393,15 @@ MULTI_SEED12_STREAM = [
 ]
 
 
-def _is_clean(tree, terminals):
+def _is_clean(net, tree, terminals):
     """Every isa edge's head has an out-edge in the tree, and a terminal
     entered by an isa edge has a causal one."""
-    for e in tree.edges:
-        if e.kind != "isa":
+    for src, dst in tree.edges:
+        if net.is_link(src, dst):
             continue
-        outs = [f for f in tree.edges if f.src == e.dst]
-        if e.dst in terminals:
-            outs = [f for f in outs if f.kind == "cause"]
+        outs = [f for f in tree.edges if f[0] == dst]
+        if dst in terminals:
+            outs = [f for f in outs if net.is_link(*f)]
         if not outs:
             return False
     return True
@@ -398,19 +411,19 @@ def _holds_rule_link(net, root, edges, climb_only=False):
     """Some causal edge x->y is shadowed below root, and x lies on root's
     climb or (unless climb_only) the tree enters x by an isa edge."""
     climb = net.isa_star(root)
-    entered = set() if climb_only else {e.dst for e in edges if e.kind == "isa"}
+    entered = set() if climb_only else {y for x, y in edges if not net.is_link(x, y)}
     return any(
-        e.kind == "cause"
-        and (e.src in climb or e.src in entered)
-        and e.key in shadowed_below(net, root, e.src)
-        for e in edges
+        net.is_link(x, y)
+        and (x in climb or x in entered)
+        and (x, y) in shadowed_below(net, root, x)
+        for x, y in edges
     )
 
 
 def _stream_items(net, roots, terminals, limit=None):
     stream = itertools.islice(_CandidateStream(net, roots, terminals), limit)
     return [
-        (round(w, 12), root, " ".join(f"{e.src}>{e.dst}" for e in tree.edges))
+        (round(w, 12), root, " ".join(f"{src}>{dst}" for src, dst in tree.edges))
         for w, root, tree in stream
     ]
 
@@ -424,7 +437,7 @@ class TestCandidateStream:
     def test_no_tree_yielded_twice(self, fig2):
         seen = set()
         for _, root, tree in _CandidateStream(fig2, ["c", "d", "f"], ["g"]):
-            key = (root, frozenset(e.key for e in tree.edges))
+            key = (root, frozenset(tree.edges))
             assert key not in seen
             seen.add(key)
 
@@ -461,7 +474,7 @@ class TestCandidateStream:
         terms = frozenset(obs)
         for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
             for _, root, tree in itertools.islice(_CandidateStream(work, roots, terms), 30):
-                assert _is_clean(tree, terms)
+                assert _is_clean(work, tree, terms)
                 assert terms <= participants(work, tree_to_scenario(work, tree))
 
     def test_every_clean_tree_is_yielded_once(self):
@@ -476,7 +489,7 @@ class TestCandidateStream:
                 continue
             g = build_search_graph(net)
             got = [
-                (root, frozenset(e.key for e in tree.edges), w)
+                (root, frozenset(tree.edges), w)
                 for w, root, tree in _CandidateStream(net, net.disorders, terms)
             ]
             assert [w for *_, w in got] == sorted(w for *_, w in got), seed
@@ -484,8 +497,8 @@ class TestCandidateStream:
             for root in net.disorders:
                 for combo, reached, _ in _arborescences(g, root):
                     tree = SteinerTree(root, combo, terms, 0.0)
-                    if terms <= reached and _is_clean(tree, terms):
-                        want.add((root, frozenset(e.key for e in combo)))
+                    if terms <= reached and _is_clean(net, tree, terms):
+                        want.add((root, frozenset(combo)))
             assert len(got) == len(want), seed
             assert {(root, keys) for root, keys, _ in got} == want, seed
 
@@ -500,7 +513,7 @@ class TestCandidateStream:
                 continue
             shadowed = {r: shadowed_links(net, r) for r in net.disorders}
             plain = [(w, r, t.edges) for w, r, t in _CandidateStream(net, net.disorders, terms)]
-            want = [i for i in plain if not any(e.key in shadowed[i[1]] for e in i[2])]
+            want = [i for i in plain if not any(k in shadowed[i[1]] for k in i[2])]
             rule = lambda r, x: frozenset(k for k in shadowed[r] if k[0] == x)
             got = [
                 (w, r, t.edges)
@@ -604,15 +617,15 @@ class TestCandidateStream:
         terms = tuple(sorted(set(obs)))
         for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
             g = build_search_graph(work)
-            causal = [e for e in g.edges if e.kind == "cause"]
+            causal = sorted(g.causal)
             for _, root, tree in itertools.islice(_CandidateStream(work, roots, terms), 15):
-                tree_keys = frozenset(e.key for e in tree.edges)
-                nodes = {root} | {e.dst for e in tree.edges}
+                tree_keys = frozenset(tree.edges)
+                nodes = {root} | {dst for _, dst in tree.edges}
                 for f in causal:
-                    if f.src not in nodes or f.dst in nodes:
+                    if f[0] not in nodes or f[1] in nodes:
                         continue
-                    edges, weight = _canonicalize(root, tree.edges + (f,), terms)
-                    child, _ = steiner_dp(g, root, terms, forced=tree_keys | {f.key})
+                    edges, weight = _canonicalize(g, root, tree.edges + (f,), terms)
+                    child, _ = steiner_dp(g, root, terms, forced=tree_keys | {f})
                     assert child.edges == edges
                     assert child.total_weight == weight
 
@@ -673,6 +686,20 @@ class TestExplain:
         for r in explain(fig2, ["g"], k=5):
             assert r.log_weight == pytest.approx(log_weight(fig2, r.scenario), abs=1e-12)
             assert math.exp(-r.log_weight) == pytest.approx(r.probability, rel=1e-12)
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_too_many_observations_start_no_dp(self, monkeypatch, multi):
+        # 21 distinct observations would need a base DP over 2**21 masks;
+        # the stream refuses them before any DP starts.
+        def no_dp(*args):
+            raise AssertionError("a DP started")
+
+        monkeypatch.setattr(abducer.solver, "_run_dp", no_dp)
+        net = parse_network("event d prior=0.5 disorder\n" + "".join(
+            f"event e{i}\ncause d e{i} p=0.5\n" for i in range(21)
+        ))
+        with pytest.raises(TooManyTerminalsError, match="21 terminals exceed 20"):
+            explain(net, [f"e{i}" for i in range(21)], k=1, multi=multi)
 
     @pytest.mark.parametrize(
         "obs, multi, walked",
@@ -991,7 +1018,7 @@ class TestExplainPastInvalidTrees:
         )
         g = build_search_graph(net)
         light, _ = steiner_dp(g, "d", ["e"])
-        assert ("a", "e") in {e.key for e in light.edges}
+        assert ("a", "e") in light.edges
         got = explain(net, ["e"], k=1)
         assert [r.scenario for r in got] == [Scenario.make("d", [("b", "e")])]
 
