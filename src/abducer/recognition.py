@@ -34,6 +34,7 @@ also the lightest.  ``recognize`` still checks each witness's validity.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -53,18 +54,8 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class Concept:
-    id: EventId
-    count: int
-
-
-@dataclass(frozen=True)
-class PropertySpec:
-    concept: EventId
-    property: str
-    value: str
-    count: int
+Concept = namedtuple("Concept", "id count")
+PropertySpec = namedtuple("PropertySpec", "concept property value count")
 
 
 def value_node(prop: str, value: str) -> EventId:
@@ -138,9 +129,6 @@ class RecognitionKB:
         # duplicate isa links, endpoint checks on the synthesized nodes).
         self._net = CausalNetwork(events, causal, self.isa)
 
-    def has_concept(self, c: str) -> bool:
-        return c in self._by_id
-
     def concept(self, c: str) -> Concept:
         if c not in self._by_id:
             raise UnknownConceptError(f"unknown concept: {c}")
@@ -159,10 +147,8 @@ class RecognitionKB:
         return self._net
 
 
-@dataclass(frozen=True)
-class RecognitionQuery:
-    cset: frozenset[str]
-    descr: frozenset[tuple[str, str]]
+class RecognitionQuery(namedtuple("RecognitionQuery", "cset descr")):
+    __slots__ = ()
 
     @classmethod
     def make(cls, cset: Iterable[str], descr: Iterable[tuple[str, str]]) -> "RecognitionQuery":

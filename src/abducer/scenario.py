@@ -52,6 +52,7 @@ specialization stays a participant below ``x``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable
 
@@ -66,12 +67,10 @@ from .kb import CausalNetwork, EventId
 Link = tuple[EventId, EventId]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "culprit causations")):
     """A culprit plus a set of causation links; may be invalid as given."""
 
-    culprit: EventId
-    causations: frozenset[Link]
+    __slots__ = ()
 
     @classmethod
     def make(cls, culprit: EventId, causations: Iterable[Link] = ()) -> "Scenario":
@@ -86,26 +85,15 @@ class Scenario:
         return f"Scenario({self.culprit}, {{{links}}})"
 
 
-@dataclass(frozen=True)
-class AttachStep:
-    """One construction step: ref_class's link was hung off participant."""
-
-    participant: EventId
-    ref_class: EventId
-    added_link: Link
-    sub_scenario_root: EventId
+AttachStep = namedtuple("AttachStep", "participant ref_class added_link sub_scenario_root")
+AttachStep.__doc__ = "One construction step: ref_class's link was hung off participant."
+ValidityCertificate = namedtuple("ValidityCertificate", "steps")
 
 
-@dataclass(frozen=True)
-class ValidityCertificate:
-    steps: tuple[AttachStep, ...]
+class ValidityResult(namedtuple("ValidityResult", "valid certificate reason", defaults=(None, None))):
+    """A verdict, true exactly when valid (a plain non-empty tuple is always true)."""
 
-
-@dataclass(frozen=True)
-class ValidityResult:
-    valid: bool
-    certificate: ValidityCertificate | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.valid

@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 from .errors import InconsistentConstraintsError, TooManyTerminalsError, UnknownEventError
@@ -117,26 +117,22 @@ def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
     return WeightedSearchGraph((n.id for n in net.events), causal, isa, node_weight)
 
 
-@dataclass(frozen=True)
-class SteinerTree:
-    """An arborescence; its edges are ``(src, dst)`` keys in root-down BFS
-    order, the format ``steiner_dp`` takes its constraints in."""
-
-    root: str
-    edges: tuple[EdgeKey, ...]
-    terminals: frozenset[str]
-    total_weight: float
+SteinerTree = namedtuple("SteinerTree", "root edges terminals total_weight")
+SteinerTree.__doc__ = """An arborescence; its edges are ``(src, dst)`` keys in
+root-down BFS order, the format ``steiner_dp`` takes its constraints in."""
 
 
-@dataclass
 class DPTable:
     """Lazily allocated map (node, terminal bitmask) -> backpointer.
 
     The weights live in the per-mask distance dicts the DP returns.
     """
 
-    entries: dict[tuple[str, int], tuple] = field(default_factory=dict)
-    relaxations: int = 0
+    __slots__ = ("entries", "relaxations")
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[str, int], tuple] = {}
+        self.relaxations = 0
 
     @property
     def entry_count(self) -> int:
@@ -146,14 +142,16 @@ class DPTable:
         return frozenset(v for v, _ in self.entries)
 
 
-@dataclass
 class SolveStats:
     """Aggregated instrumentation across the DP runs of one query."""
 
-    dp_runs: int = 0
-    relaxations: int = 0
-    table_entries: int = 0
-    touched_nodes: set[str] = field(default_factory=set)
+    __slots__ = ("dp_runs", "relaxations", "table_entries", "touched_nodes")
+
+    def __init__(self) -> None:
+        self.dp_runs = 0
+        self.relaxations = 0
+        self.table_entries = 0
+        self.touched_nodes: set[str] = set()
 
     def absorb(self, table: DPTable) -> None:
         self.dp_runs += 1
@@ -491,6 +489,13 @@ class _CandidateStream:
     ``_shadow_rule``, which computes each (r, x) once, and gives the rule
     and the stream one ``reach`` memo, so each root's reachable events
     are walked once per query.
+
+    A yielded tree's children that provably hold no tree are never
+    deferred (``_partition``): the exclusion child of an edge that every
+    tree of the subspace holds (``_pinned``), and an extension child
+    whose forced edge's source has every in-edge forbidden.  Only empty
+    children vanish, so the yield order is unchanged; a causal chain
+    runs one DP.
     """
 
     def __init__(
@@ -625,25 +630,53 @@ class _CandidateStream:
             ):
                 continue
             yield key[0], root, tree
+            self._partition(lb, root, forced, forbidden, tree)
 
-            prefix = set(forced)
-            for e in tree.edges:
-                if e in forced:
-                    continue
+    def _pinned(self, tree: SteinerTree, forced: frozenset, forbidden: frozenset) -> set[EdgeKey]:
+        """Edges of tree that every tree of (forced, forbidden) holds.
+
+        Every tree of the subspace holds the terminals and the ends of the
+        forced edges.  If it holds a node v whose only in-edge outside
+        ``forbidden`` is v's edge in tree, it holds that edge and so the
+        edge's source.  A reverse walk of tree's BFS order meets v's
+        out-edges before its in-edge.
+        """
+        in_edges = self.g.in_edges
+        needed = set(self._term_set).union(*forced)
+        pinned: set[EdgeKey] = set()
+        for e in reversed(tree.edges):
+            if e[1] in needed and sum(k not in forbidden for _, _, k in in_edges[e[1]]) == 1:
+                pinned.add(e)
+                needed.add(e[0])
+        return pinned
+
+    def _partition(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
+        """Defer a yielded tree's Lawler children, less the empty ones named
+        in the class docstring.  A skipped child's edge still joins its
+        later siblings' constraint sets, so theirs are unchanged."""
+        pinned = self._pinned(tree, forced, forbidden)
+        prefix = set(forced)
+        for e in tree.edges:
+            if e in forced:
+                continue
+            if e not in pinned:
                 self._defer(lb, root, frozenset(prefix), forbidden | {e})
-                prefix.add(e)
+            prefix.add(e)
 
-            tree_keys = frozenset(tree.edges)
-            heads = {root} | {k[1] for k in tree.edges}
-            sup_forbidden = set(forbidden)
-            weight = self.g.weight
-            for f in self._extension_edges(root):
-                if f in tree_keys or f in sup_forbidden:
-                    continue
-                if f[1] not in heads:
-                    grown = tree.edges + (f,) if f[0] in heads else None
-                    self._defer(lb + weight[f], root, tree_keys | {f}, frozenset(sup_forbidden), grown)
-                sup_forbidden.add(f)
+        tree_keys = frozenset(tree.edges)
+        heads = {root} | {k[1] for k in tree.edges}
+        sup_forbidden = set(forbidden)
+        weight, in_edges = self.g.weight, self.g.in_edges
+        for f in self._extension_edges(root):
+            if f in tree_keys or f in sup_forbidden:
+                continue
+            s = f[0]
+            if f[1] not in heads and (
+                s in heads or not sup_forbidden.issuperset(k for _, _, k in in_edges.get(s, ()))
+            ):
+                grown = tree.edges + (f,) if s in heads else None
+                self._defer(lb + weight[f], root, tree_keys | {f}, frozenset(sup_forbidden), grown)
+            sup_forbidden.add(f)
 
 
 def _reach_memo(net: CausalNetwork) -> Callable[[str], frozenset[EventId]]:

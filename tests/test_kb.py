@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,9 @@ from abducer import (
     serialize_network,
 )
 from abducer.kb import TOP_NAME, _ident
+from abducer.recognition import Concept, PropertySpec, RecognitionQuery, RecognitionResult
+from abducer.scenario import AttachStep, RankedExplanation, Scenario, ValidityCertificate, ValidityResult
+from abducer.solver import SteinerTree
 from abducer.synth import random_network
 
 from strategies import networks
@@ -551,3 +556,83 @@ class TestRecords:
         assert (cause, effect, p) == ("a", "b", 0.5)
         assert EventNode("a") == ("a", None, False)
         assert IsaLink("a", "b") == ("a", "b")
+
+
+class TestEngineRecords:
+    # The engine's records are named tuples like the network's; only the
+    # two result records stay dataclasses, which dataclasses.replace needs.
+    STEP = AttachStep("d", "b", ("b", "e"), "e")
+    # (record, an equal record built apart, a record that differs, repr)
+    CASES = [
+        (
+            Scenario.make("d", [("d", "g"), ("b", "e")]),
+            Scenario("d", frozenset({("b", "e"), ("d", "g")})),
+            Scenario.make("d", [("d", "g")]),
+            "Scenario(d, {b->e, d->g})",
+        ),
+        (
+            STEP,
+            AttachStep("d", "b", ("b", "e"), "e"),
+            AttachStep("d", "a", ("a", "e"), "e"),
+            "AttachStep(participant='d', ref_class='b', added_link=('b', 'e'), sub_scenario_root='e')",
+        ),
+        (
+            ValidityCertificate((STEP,)),
+            ValidityCertificate((AttachStep("d", "b", ("b", "e"), "e"),)),
+            ValidityCertificate(()),
+            "ValidityCertificate(steps=(AttachStep(participant='d', ref_class='b',"
+            " added_link=('b', 'e'), sub_scenario_root='e'),))",
+        ),
+        (
+            ValidityResult(False, reason="x"),
+            ValidityResult(False, None, "x"),
+            ValidityResult(False, reason="y"),
+            "ValidityResult(valid=False, certificate=None, reason='x')",
+        ),
+        (
+            SteinerTree("d", (("d", "g"),), frozenset({"g"}), 0.5),
+            SteinerTree("d", (("d", "g"),), frozenset({"g"}), 0.5),
+            SteinerTree("f", (("f", "g"),), frozenset({"g"}), 0.5),
+            "SteinerTree(root='d', edges=(('d', 'g'),), terminals=frozenset({'g'}), total_weight=0.5)",
+        ),
+        (Concept("fruit", 10), Concept("fruit", 10), Concept("fruit", 9), "Concept(id='fruit', count=10)"),
+        (
+            PropertySpec("apple", "color", "red", 3),
+            PropertySpec("apple", "color", "red", 3),
+            PropertySpec("apple", "color", "green", 3),
+            "PropertySpec(concept='apple', property='color', value='red', count=3)",
+        ),
+        (
+            RecognitionQuery.make(["apple"], [("color", "red")]),
+            RecognitionQuery(frozenset({"apple"}), frozenset({("color", "red")})),
+            RecognitionQuery.make(["pear"], [("color", "red")]),
+            "RecognitionQuery(cset=frozenset({'apple'}), descr=frozenset({('color', 'red')}))",
+        ),
+    ]
+
+    @pytest.mark.parametrize("record, same, other, text", CASES)
+    def test_records_reject_assignment(self, record, same, other, text):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == same[0]
+
+    @pytest.mark.parametrize("record, same, other, text", CASES)
+    def test_records_keep_their_repr(self, record, same, other, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record, same, other, text", CASES)
+    def test_records_hash_and_compare_by_fields(self, record, same, other, text):
+        assert record == same and hash(record) == hash(same)
+        assert record != other
+        assert record == tuple(same)
+
+    def test_validity_result_is_false_when_invalid(self):
+        assert bool(ValidityResult(False, reason="x")) is False
+        assert bool(ValidityResult(True, ValidityCertificate(()))) is True
+
+    def test_result_records_stay_replaceable(self):
+        ranked = RankedExplanation(1, Scenario.make("d"), 0.5, 0.25)
+        assert dataclasses.replace(ranked, log_weight=1.0) == RankedExplanation(1, Scenario.make("d"), 1.0, 0.25)
+        result = RecognitionResult("apple", True, 0.5, Fraction(1, 2), None, None)
+        assert dataclasses.replace(result, weight=1.0).weight == 1.0

@@ -756,6 +756,81 @@ class TestDenseRegressions:
         assert stats.dp_runs < 1500
 
 
+def _unpruned_children(stream, root, forced, forbidden, tree):
+    """Every Lawler child of a yielded tree as (kind, forced, forbidden),
+    before any empty child is skipped."""
+    out = []
+    prefix = set(forced)
+    for e in tree.edges:
+        if e not in forced:
+            out.append(("exclusion", frozenset(prefix), forbidden | {e}))
+            prefix.add(e)
+    heads = {root} | {dst for _, dst in tree.edges}
+    sup_forbidden = set(forbidden)
+    for f in stream._extension_edges(root):
+        if f in tree.edges or f in sup_forbidden:
+            continue
+        if f[1] not in heads:
+            out.append(("extension", frozenset(tree.edges) | {f}, frozenset(sup_forbidden)))
+        sup_forbidden.add(f)
+    return out
+
+
+class TestEmptyChildren:
+    def test_a_chain_runs_one_dp(self):
+        # Every chain event has one in-edge, so every exclusion child of the
+        # one tree is empty and none is solved.
+        n = 300
+        text = "event e0 prior=0.5 disorder\n" + "".join(f"event e{i}\n" for i in range(1, n))
+        text += "".join(f"cause e{i} e{i + 1} p=0.9\n" for i in range(n - 1))
+        net = parse_network(text)
+        stats = SolveStats()
+        got = explain(net, [f"e{n - 1}"], k=1, stats=stats)
+        links = [(f"e{i}", f"e{i + 1}") for i in range(n - 1)]
+        assert [r.scenario for r in got] == [Scenario.make("e0", links)]
+        assert got[0].log_weight == pytest.approx(math.log(2) + (n - 1) * math.log(1 / 0.9))
+        assert stats.dp_runs == 1
+
+    @pytest.mark.parametrize("family", ["small", "dense"])
+    def test_skipped_children_hold_no_tree(self, monkeypatch, family):
+        skipped = []
+
+        class Recording(_CandidateStream):
+            def _partition(self, lb, root, forced, forbidden, tree):
+                deferred = set()
+                defer = self._defer
+
+                def recording_defer(lb, root, forced, forbidden, grown=None):
+                    deferred.add((forced, forbidden))
+                    defer(lb, root, forced, forbidden, grown)
+
+                self._defer = recording_defer
+                try:
+                    super()._partition(lb, root, forced, forbidden, tree)
+                finally:
+                    del self._defer
+                children = _unpruned_children(self, root, forced, forbidden, tree)
+                assert deferred <= {(f, x) for _, f, x in children}
+                for kind, f, x in children:
+                    if (f, x) not in deferred:
+                        skipped.append((kind, self.g, root, self.terminals, f, x))
+
+        monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
+        params = {} if family == "small" else dict(max_events=40, max_causal=80, max_isa=20)
+        rng = random.Random(0)
+        for _ in range(30):
+            net = random_network(rng, **params)
+            obs = random_observations(rng, net)
+            for multi in (False, True):
+                try:
+                    explain(net, obs, k=3, multi=multi)
+                except AbducerError:
+                    pass
+        assert {kind for kind, *_ in skipped} == {"exclusion", "extension"}
+        for _, g, root, terminals, forced, forbidden in skipped:
+            assert steiner_dp(g, root, terminals, forced, forbidden)[0] is None
+
+
 class TestDenseProperties:
     # Networks too large for the oracle: every answer is still an
     # explanation, weighed exactly as scenario.log_weight weighs it, and
