@@ -2,8 +2,10 @@
 
 Generates networks small enough for the oracle's power-set sweep, asks
 both engines for the top k explanations of a random observation set,
-and reports any disagreement.  Also prints cumulative wall time per
-engine, which is where the solver earns its keep as networks grow.
+and reports any disagreement in outcome: a different ranking, or a typed
+``AbducerError`` from one engine where the other answers or raises
+another.  Also prints cumulative wall time per engine, which is where
+the solver earns its keep as networks grow.
 
 Usage: python scripts/oracle_vs_solver.py [--networks 500] [--k 3] [--multi]
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 # Run from a checkout without installing: the package lives in ../src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from abducer import best_explanations_bruteforce, explain
+from abducer import AbducerError, best_explanations_bruteforce, explain
 from abducer.synth import random_network, random_observations
 
 
@@ -33,6 +35,24 @@ class SweepConfig:
     multi: bool = False
 
 
+def outcome(engine, *args, **kwargs) -> tuple[list | AbducerError, float]:
+    """An engine's answer, as (scenario, log weight) pairs or the typed
+    error it raised, and the seconds it took."""
+    t0 = time.perf_counter()
+    try:
+        got = [(r.scenario, r.log_weight) for r in engine(*args, **kwargs)]
+    except AbducerError as e:
+        got = e
+    return got, time.perf_counter() - t0
+
+
+def describe(got: list | AbducerError) -> str:
+    """The ranked scenarios, or the error's type and message."""
+    if isinstance(got, AbducerError):
+        return f"{type(got).__name__}: {got}"
+    return str([s for s, _ in got])
+
+
 def compare_one(cfg: SweepConfig, seed: int) -> tuple[str | None, float, float]:
     """Returns (mismatch description or None, solver seconds, oracle seconds)."""
     rng = random.Random(seed)
@@ -43,27 +63,16 @@ def compare_one(cfg: SweepConfig, seed: int) -> tuple[str | None, float, float]:
     if not obs:
         return None, 0.0, 0.0
 
-    t0 = time.perf_counter()
-    got = explain(net, obs, k=cfg.k, multi=cfg.multi)
-    t1 = time.perf_counter()
-    want = best_explanations_bruteforce(net, obs, cfg.k, multi=cfg.multi)
-    t2 = time.perf_counter()
+    got, ts = outcome(explain, net, obs, k=cfg.k, multi=cfg.multi)
+    want, to = outcome(best_explanations_bruteforce, net, obs, cfg.k, multi=cfg.multi)
 
-    if [r.scenario for r in got] != [r.scenario for r in want]:
-        return (
-            f"seed {seed}, obs {sorted(obs)}: solver {[r.scenario for r in got]} "
-            f"vs oracle {[r.scenario for r in want]}",
-            t1 - t0,
-            t2 - t1,
-        )
-    for g_, w_ in zip(got, want):
-        if abs(g_.log_weight - w_.log_weight) > 1e-9:
-            return (
-                f"seed {seed}: rank {g_.rank} weight gap {abs(g_.log_weight - w_.log_weight):g}",
-                t1 - t0,
-                t2 - t1,
-            )
-    return None, t1 - t0, t2 - t1
+    if describe(got) != describe(want):
+        return f"seed {seed}, obs {sorted(obs)}: solver {describe(got)} vs oracle {describe(want)}", ts, to
+    if not isinstance(got, AbducerError):
+        for rank, ((_, gw), (_, ww)) in enumerate(zip(got, want), 1):
+            if abs(gw - ww) > 1e-9:
+                return f"seed {seed}: rank {rank} weight gap {abs(gw - ww):g}", ts, to
+    return None, ts, to
 
 
 def main(argv=None) -> int:

@@ -144,9 +144,26 @@ def preempting_alternative(
     Candidates are network links ``u -> w`` with ``p isa* u isa* x``,
     ``u != x`` and ``w`` in {x, y}, skipping links already placed and
     targets already caused.  A candidate only preempts if it is not itself
-    preempted by something yet more specific.
+    preempted by something yet more specific.  Every nested question keeps
+    ``p``, ``placed`` and ``caused``, so each candidate is judged once per
+    call: judged afresh, n isa levels with a link to y at each take 2**n
+    steps.
     """
-    for u in sorted(net.isa_star(p)):
+    return _first_standing(net, placed, caused, sorted(net.isa_star(p)), {}, x, y)
+
+
+def _first_standing(
+    net: CausalNetwork,
+    placed: AbstractSet[Link],
+    caused: frozenset[EventId],
+    climb: list[EventId],
+    memo: dict[Link, Link | None],
+    x: EventId,
+    y: EventId,
+) -> Link | None:
+    """``preempting_alternative`` at the attach point whose sorted climb is
+    ``climb``; ``memo`` holds the answers found so far in the same call."""
+    for u in climb:
         if u == x or x not in net.isa_star(u):
             continue
         for w in (y, x):
@@ -155,7 +172,9 @@ def preempting_alternative(
                 continue
             if w != y and w in caused:
                 continue
-            if preempting_alternative(net, placed, caused, p, u, w) is None:
+            if alt not in memo:
+                memo[alt] = _first_standing(net, placed, caused, climb, memo, u, w)
+            if memo[alt] is None:
                 return alt
     return None
 

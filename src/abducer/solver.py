@@ -19,24 +19,21 @@ the parent tree needs no DP: its optimum is the parent tree plus that edge.
 A child's DP filters the graph's per-node in-edge lists as it reaches each
 node instead of rebuilding the whole adjacency.
 
-Only clean trees leave the enumeration: every isa edge's head has an
-out-edge in the tree, and a terminal entered by an isa edge has a causal
-one.  An unclean tree either leaves an observation uncovered (only the
+The taxonomy enters the search as an ordered table of tree rules.  A
+popped tree that breaks one is never yielded: its first offending edge
+splits its subspace into children that hold every tree the rule keeps,
+solved lazily like every other Lawler child (``_CandidateStream`` argues
+once that this split is exact).  The clean rule: every isa edge's head has
+an out-edge in the tree, and a terminal entered by an isa edge has a
+causal one; an unclean tree leaves an observation uncovered (only the
 culprit and link endpoints participate) or ends in an isa leaf that adds
-nothing to its scenario.  When the DP returns one, its subspace is
-replaced by a repair partition of that subspace's clean trees, solved
-lazily like every other Lawler child (see ``_CandidateStream``).
-
-Shadowed links (``scenario.shadowed_below``) are never offered.  Those
-out of a root's own isa ancestors start out forbidden in that root's
-subspace, since no valid scenario rooted there holds one; a root whose
-tree from the shared base DP uses one waits as the Lawler child that
-forbids them all.  Those out of any other event x matter only in trees
-that enter x by an isa edge, whose scenarios never make x a maximal
-participant; a second repair partition replaces a tree that holds one by
-the children that either forbid the link or force it and forbid x's isa
-in-edges.  The validity check stays on every tree, because a link can
-still be preempted in one scenario and not in another.
+nothing to its scenario.  The shadow rule: a tree never holds a shadowed
+link (``scenario.shadowed_below``) out of an event it enters by isa.
+Those out of a root's own isa ancestors start out forbidden in that
+root's subspace; a root whose tree from the shared base DP uses one waits
+as the Lawler child that forbids them all.  The validity check stays on
+every tree, because a link can still be preempted in one scenario and not
+in another.
 
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
@@ -45,6 +42,7 @@ are never touched.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -441,29 +439,40 @@ class _CandidateStream:
     beyond the forced ones, edge order and weight bits are the DP's.  No
     DP runs for it, so it adds nothing to the stats.
 
-    Only clean trees are yielded: every isa edge's head has an out-edge in
-    the tree, and a terminal entered by an isa edge has a causal out-edge.
-    A popped tree T of subproblem (F, X) that is not clean is dropped, and
-    its subspace is replaced by a repair partition.  Let e = c->x be the
-    first isa edge, in T's BFS order, that breaks the rule; an out-edge of
-    x qualifies if it is causal, or if x is not a terminal.  The children,
-    all deferred under ``(w(T) - WEIGHT_TIE_TOL, -1)``, are (F, X + e)
-    unless e is forced, and for each qualifying g_i of ``out_edges[x]``
-    not in X, (F + {e, g_i}, X + {g_1 .. g_i-1}).
+    Before a popped tree T of subproblem (F, X) is yielded it meets
+    ``_rules``, an ordered table of tree rules.  A rule looks at T alone
+    and returns None or a split: an edge e of T and an ordered list of
+    fixes (A_i, B_i), keys to force and to forbid besides e, where T
+    satisfies no fix (it lacks a key of A_i or holds one of B_i) and each
+    fix forbids a key of every earlier fix's A_i.  The first rule that
+    splits T drops it and defers, under ``(w(T) - WEIGHT_TIE_TOL, -1)``,
+    (F, X + e) unless e is forced, and (F + e + A_i, X + B_i) for each fix
+    whose A_i misses X and whose B_i misses F.
 
-    This is exact.  A tree of (F, X) that the children drop contains e and
-    gives x no qualifying out-edge, so either x is an observation it does
-    not cover, and the tree is never an explanation, or x is a
-    non-terminal isa leaf, and removing e leaves a tree with the same
-    scenario and weight that lies in another subspace.  A clean tree of
-    (F, X) either lacks e or contains e and exactly one first qualifying
-    g_i, so it lies in exactly one child.  Every child adds a forced or
-    forbidden key, so repairs terminate.  The only trees a clean tree's
-    own children leave out are its supersets by isa edges alone, which end
-    in an isa leaf, so every clean tree is yielded once, in the order the
-    unrepaired stream yields it.  Two clean trees can still map to one
-    scenario when isa routes join (an isa diamond), which is why
-    ``explain`` keeps its ``seen`` set.
+    The split is exact.  The children lie inside (F, X) and are disjoint:
+    the first forbids e, the others force it, and of two fixes the later
+    forbids a key the earlier forces.  A tree of (F, X) without e lies in
+    the first child, and one with e that satisfies a fix lies in that
+    fix's child (a skipped fix holds no tree of (F, X)).  So the trees
+    dropped are those that hold e and satisfy no fix, T among them.  Since
+    T is one, every child adds a key it lacks, and splits terminate.  A
+    rule then needs one claim of its own: no tree it drops is needed.  The
+    only trees a yielded tree's own children leave out are its supersets
+    by isa edges alone, which end in an isa leaf that the clean rule
+    splits, so the stream yields each tree that passes every rule once, in
+    the order and with the weight that the rule-free stream yields it.
+
+    The clean rule (``_unclean_edge``): every isa edge's head has an
+    out-edge in the tree, and a terminal entered by an isa edge has a
+    causal one.  Its e = c->x is the first isa edge, in T's BFS order, that
+    breaks this; an out-edge of x qualifies if it is causal, or if x is not
+    a terminal, and for the qualifying g_1, g_2, ... of ``out_edges[x]``
+    the fixes are ({g_i}, {g_1 .. g_i-1}).  A dropped tree gives x no
+    qualifying out-edge, so either x is an observation it does not
+    cover, and the tree is never an explanation, or x is a non-terminal isa
+    leaf, and removing e leaves a tree with the same scenario and weight.
+    Two clean trees can still map to one scenario when isa routes join (an
+    isa diamond), which is why ``explain`` keeps its ``seen`` set.
 
     ``shadowed(r, x)``, when given, names the causal edges out of x that
     no tree rooted at r may hold where x is never a maximal participant
@@ -472,23 +481,14 @@ class _CandidateStream:
     forbidden keys and every child of r forbids them too.  A root whose
     base tree uses one is not pushed; it waits as the child
     (F = {}, X = banned(r)) under its base weight less ``WEIGHT_TIE_TOL``.
-
-    Off r's climb, the rule holds for the trees that enter x by an isa
-    edge, which a second repair enforces on clean popped trees.  Let
-    g = x->y be the first causal edge, in T's BFS order, whose source T
-    enters by isa and which ``shadowed(r, x)`` names.  The children, both
-    deferred under ``(w(T) - WEIGHT_TIE_TOL, -1)``, are (F, X + g) unless g
-    is forced, and (F + g, X + the isa in-edges of x) unless one of those
-    is forced.  A tree of (F, X) that neither child holds contains g and
-    enters x by isa, so it is never valid; every other tree lies in
-    exactly one child, and each child adds a key.  No tree of r holds a
-    rule edge out of r's climb, so the repair skips x there.  The stream
-    then yields the unconstrained stream's trees minus those that hold a
-    rule edge out of r's climb or out of an event they enter by isa, in
-    the same order with the same weights.  ``explain`` passes
-    ``_shadow_rule``, which computes each (r, x) once, and gives the rule
-    and the stream one ``reach`` memo, so each root's reachable events
-    are walked once per query.
+    Off r's climb it holds for the trees that enter x by an isa edge, which
+    the shadow rule (``_shadowed_edge``) enforces: its e = x->y is the
+    first causal edge, in T's BFS order, whose source T enters by isa and
+    which ``shadowed(r, x)`` names, and its one fix forbids x's isa
+    in-edges.  A dropped tree holds e and enters x by isa, so it is never
+    valid.  ``explain`` passes ``shadowed_below`` and ``reachable`` behind
+    one ``functools.cache`` each, and gives the stream the same ``reach``,
+    so each root's reachable events are walked once per query.
 
     A yielded tree's children that provably hold no tree are never
     deferred (``_partition``): the exclusion child of an edge that every
@@ -510,7 +510,7 @@ class _CandidateStream:
         self.net = net
         self.g = g = build_search_graph(net)
         self.shadowed = shadowed
-        self.reach = reach or _reach_memo(net)
+        self.reach = reach or (lambda root: reachable(net, root))
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         _check_terminal_count(self.terminals)
@@ -573,50 +573,32 @@ class _CandidateStream:
         if child is not None:
             self._push(root, forced, forbidden, child)
 
-    def _repair(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
-        """Replace an unclean tree's subspace by children holding its clean
-        trees; False, with nothing deferred, when the tree is clean."""
-        causal = self.g.causal
+    def _unclean_edge(self, root: str, tree: SteinerTree) -> tuple[EdgeKey, list] | None:
+        """The clean rule's split of tree, or None (see the class docstring)."""
+        causal, terms = self.g.causal, self._term_set
         srcs = {k[0] for k in tree.edges}
         causes = {k[0] for k in tree.edges if k in causal}
         for e in tree.edges:
-            if e not in causal and e[1] not in (causes if e[1] in self._term_set else srcs):
-                break
-        else:
-            return False
-        x = e[1]
-        causal_only = x in self._term_set
-        if e not in forced:
-            self._defer(lb, root, forced, forbidden | {e})
-        skipped = set(forbidden)
-        for out in self.g.out_edges.get(x, ()):
-            if out in skipped or (causal_only and out not in causal):
-                continue
-            self._defer(lb, root, forced | {e, out}, frozenset(skipped))
-            skipped.add(out)
-        return True
+            x = e[1]
+            if e not in causal and x not in (causes if x in terms else srcs):
+                outs = [k for k in self.g.out_edges.get(x, ()) if k in causal or x not in terms]
+                return e, [((g,), outs[:i]) for i, g in enumerate(outs)]
+        return None
 
-    def _unshadow(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> bool:
-        """Replace a clean tree's subspace by children without its first
-        rule edge from an event entered by isa; False, with nothing
-        deferred, when it holds none."""
+    def _shadowed_edge(self, root: str, tree: SteinerTree) -> tuple[EdgeKey, list] | None:
+        """The shadow rule's split of tree, or None (see the class docstring)."""
         if self.shadowed is None:
-            return False
+            return None
         causal = self.g.causal
         climb = self.net.isa_star(root)
         entered = {k[1] for k in tree.edges if k not in causal and k[1] not in climb}
-        for g_edge in tree.edges:
-            x = g_edge[0]
-            if x in entered and g_edge in causal and g_edge in self.shadowed(root, x):
-                break
-        else:
-            return False
-        if g_edge not in forced:
-            self._defer(lb, root, forced, forbidden | {g_edge})
-        isa_in = {k for _, _, k in self.g.in_edges.get(x, ()) if k not in causal}
-        if isa_in.isdisjoint(forced):
-            self._defer(lb, root, forced | {g_edge}, forbidden | isa_in)
-        return True
+        for e in tree.edges:
+            x = e[0]
+            if x in entered and e in causal and e in self.shadowed(root, x):
+                return e, [((), [k for _, _, k in self.g.in_edges[x] if k not in causal])]
+        return None
+
+    _rules = (_unclean_edge, _shadowed_edge)
 
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap and self._heap[0][0][0] <= self.bound:
@@ -625,12 +607,20 @@ class _CandidateStream:
                 self._solve_child(root, forced, forbidden, tree)
                 continue
             lb = key[0] - WEIGHT_TIE_TOL
-            if self._repair(lb, root, forced, forbidden, tree) or self._unshadow(
-                lb, root, forced, forbidden, tree
-            ):
+            for rule in self._rules:
+                split = rule(self, root, tree)
+                if split is not None:
+                    break
+            if split is None:
+                yield key[0], root, tree
+                self._partition(lb, root, forced, forbidden, tree)
                 continue
-            yield key[0], root, tree
-            self._partition(lb, root, forced, forbidden, tree)
+            e, fixes = split
+            if e not in forced:
+                self._defer(lb, root, forced, forbidden | {e})
+            for more_forced, more_forbidden in fixes:
+                if forbidden.isdisjoint(more_forced) and forced.isdisjoint(more_forbidden):
+                    self._defer(lb, root, forced.union((e,), more_forced), forbidden.union(more_forbidden))
 
     def _pinned(self, tree: SteinerTree, forced: frozenset, forbidden: frozenset) -> set[EdgeKey]:
         """Edges of tree that every tree of (forced, forbidden) holds.
@@ -679,36 +669,6 @@ class _CandidateStream:
             sup_forbidden.add(f)
 
 
-def _reach_memo(net: CausalNetwork) -> Callable[[str], frozenset[EventId]]:
-    """``scenario.reachable`` on net, walked at most once per root."""
-    reached: dict[str, frozenset[EventId]] = {}
-
-    def reach(root: str) -> frozenset[EventId]:
-        got = reached.get(root)
-        if got is None:
-            got = reached[root] = reachable(net, root)
-        return got
-
-    return reach
-
-
-def _shadow_rule(
-    net: CausalNetwork, reach: Callable[[str], frozenset[EventId]]
-) -> Callable[[str, str], frozenset[EdgeKey]]:
-    """``scenario.shadowed_below`` on net, computed once per (root, x),
-    with each root's reachable events from ``reach``, a ``_reach_memo`` of
-    net that the caller may share."""
-    memo: dict[tuple[str, str], frozenset[EdgeKey]] = {}
-
-    def rule(root: str, x: str) -> frozenset[EdgeKey]:
-        got = memo.get((root, x))
-        if got is None:
-            got = memo[(root, x)] = shadowed_below(net, root, x, reach)
-        return got
-
-    return rule
-
-
 def explain(
     net: CausalNetwork,
     observations: Iterable[EventId],
@@ -719,7 +679,9 @@ def explain(
     """The k most probable explanations of the observations.
 
     Single mode roots the search at each disorder; multi mode augments the
-    network with the distinguished root event and explains through it.
+    network with the distinguished root event and explains through it.  A
+    declared root is used as it is, and only if it is a disorder, as the
+    oracle and ``is_explanation`` require of every culprit.
     Shadowed links are never offered.  Once k explanations are accepted,
     the stream stops past the k-th lightest of their weights (plus
     ``WEIGHT_TIE_TOL``), so no child bounded past it is solved.
@@ -727,14 +689,15 @@ def explain(
     """
     obs = check_query(net, observations, k)
     work = net if (multi and net.top) else (add_top(net) if multi else net)
-    roots = [work.top] if multi else list(work.disorders)
+    roots = [r for r in work.disorders if not multi or r == work.top]
     if not roots:
         return []
 
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
-    reach = _reach_memo(work)
-    stream = _CandidateStream(work, roots, obs, stats, _shadow_rule(work, reach), reach)
+    reach = functools.cache(lambda root: reachable(work, root))
+    rule = functools.cache(lambda root, x: shadowed_below(work, root, x, reach))
+    stream = _CandidateStream(work, roots, obs, stats, rule, reach)
     for _, _, tree in stream:
         scenario = tree_to_scenario(work, tree)
         # Clean trees can still share a scenario: two isa routes from one

@@ -233,6 +233,17 @@ class TestMulti:
         )
         assert json.loads(solver_out)["results"] == json.loads(oracle_out)["results"]
 
+    @pytest.mark.parametrize("decl", ["event TOP prior=0.9", "event TOP"])
+    def test_declared_root_that_is_no_disorder_explains_nothing(self, run, tmp_path, decl):
+        # Multi mode roots at a declared TOP only when it is a disorder;
+        # both engines find nothing and exit 1.
+        p = tmp_path / "top.cnet"
+        p.write_text(
+            f"{decl}\nevent d prior=0.5 disorder\nevent e\ncause d e p=0.5\ncause TOP d p=0.5\n"
+        )
+        for engine in ([], ["--oracle"]):
+            assert run("explain", p, "--obs", "e", "--multi", *engine) == (1, "no explanation\n", "")
+
 
 class TestRecognize:
     def test_text_rows(self, run, fruits_path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,23 @@ class TestLongScenarios:
         assert not broken
         # Links are tried in sorted order, so "e1000" is the first missing.
         assert broken.reason == "unattachable: no participant specializes e1000"
+
+    def test_deep_isa_chain_with_a_link_at_every_level(self):
+        # a199 isa ... isa a0, each with a link to y.  Only a199->y stands,
+        # so it preempts a0->y.  Each alternative is judged once per call;
+        # judged afresh at every level, this took 2**n steps.
+        n = 200
+        net = parse_network(
+            "".join(f"event a{i}\n" for i in range(n - 1))
+            + f"event a{n - 1} prior=0.5 disorder\nevent y\n"
+            + "".join(f"isa a{i + 1} a{i}\n" for i in range(n - 1))
+            + "".join(f"cause a{i} y p=0.5\n" for i in range(n))
+        )
+        start = time.perf_counter()
+        verdict = is_valid_scenario(net, Scenario.make(f"a{n - 1}", [("a0", "y")]))
+        assert time.perf_counter() - start < 1.0
+        assert not verdict
+        assert verdict.reason == f"preempted: a0->y by a{n - 1}->y"
 
 
 class TestParticipants:

@@ -1,9 +1,12 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from abducer import TooManyTerminalsError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +32,21 @@ def test_script_runs_from_a_checkout(script, args, last, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last)
+
+
+def test_an_error_on_one_side_is_a_mismatch(monkeypatch):
+    # A typed error counts as an outcome: against the oracle's ranking it
+    # is reported as a mismatch, and on both sides alike it is agreement.
+    spec = importlib.util.spec_from_file_location("oracle_vs_solver", SCRIPTS / "oracle_vs_solver.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refuse(*args, **kwargs):
+        raise TooManyTerminalsError("refused")
+
+    cfg = script.SweepConfig()
+    monkeypatch.setattr(script, "explain", refuse)
+    bad, _, _ = script.compare_one(cfg, 0)
+    assert "solver TooManyTerminalsError: refused vs oracle [Scenario(" in bad
+    monkeypatch.setattr(script, "best_explanations_bruteforce", refuse)
+    assert script.compare_one(cfg, 0)[0] is None

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from abducer import (
 )
 from abducer.kb import TOP_NAME
 from abducer.scenario import log_weight, participants, shadowed_below, shadowed_links
-from abducer.solver import _build_problem, _canonicalize, _CandidateStream, _reach_memo, _shadow_rule
+from abducer.solver import _build_problem, _canonicalize, _CandidateStream
 from abducer.synth import (
     complexity_network,
     random_network,
@@ -630,6 +631,96 @@ class TestCandidateStream:
                     assert child.total_weight == weight
 
 
+def _recorded(rule):
+    """rule, recording each split it makes on the stream that calls it."""
+
+    def recorded(stream, root, tree):
+        split = rule(stream, root, tree)
+        stream.open = None
+        if split is not None:
+            forced, forbidden = stream.subspace[id(tree)]
+            stream.open = dict(
+                rule=rule, root=root, forced=forced, forbidden=forbidden,
+                tree=tree, split=split, children=[],
+            )
+            stream.splits.append(stream.open)
+        return split
+
+    return recorded
+
+
+class _SplitRecorder(_CandidateStream):
+    """The stream, recording each split its loop makes: the rule that
+    fired, the popped tree's subspace (F, X), the tree, the split and the
+    children deferred for it."""
+
+    _rules = tuple(_recorded(rule) for rule in _CandidateStream._rules)
+
+    def __init__(self, *args, **kwargs):
+        self.splits = []
+        self.subspace = {}
+        self.open = None
+        super().__init__(*args, **kwargs)
+
+    def _push(self, root, forced, forbidden, tree):
+        # A tree stays alive on the heap until it is popped, so its id is
+        # its own when a rule sees it.
+        self.subspace[id(tree)] = (forced, forbidden)
+        super()._push(root, forced, forbidden, tree)
+
+    def _defer(self, lb, root, forced, forbidden, grown=None):
+        if self.open is not None:
+            self.open["children"].append((forced, forbidden))
+        super()._defer(lb, root, forced, forbidden, grown)
+
+
+class TestSplitSeam:
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_every_split_is_exact(self, multi):
+        # For every split of a drained stream, over the parent subspace's
+        # arborescences: the children are disjoint and lie inside it, and
+        # every tree no child holds contains the split edge and is one the
+        # rule that fired rejects.
+        fired = collections.Counter()
+        several = 0
+        for seed in range(400):
+            net = random_network(random.Random(seed), max_events=7, max_causal=8, max_isa=6)
+            terms = frozenset(sorted({l.effect for l in net.causal})[:2])
+            if not terms or not net.disorders:
+                continue
+            work = add_top(net) if multi else net
+            roots = [TOP_NAME] if multi else list(net.disorders)
+            g = build_search_graph(work)
+            all_trees = {}
+            for shadowed in (None, lambda r, x: shadowed_below(work, r, x)):
+                stream = _SplitRecorder(work, roots, terms, shadowed=shadowed)
+                list(stream)
+                for split in stream.splits:
+                    root, forced, forbidden = split["root"], split["forced"], split["forbidden"]
+                    if root not in all_trees:
+                        all_trees[root] = [frozenset(c) for c, _, _ in _arborescences(g, root)]
+                    parent = [t for t in all_trees[root] if forced <= t and not t & forbidden]
+                    held = set()
+                    for f, x in split["children"]:
+                        assert forced <= f and forbidden <= x, seed
+                        mine = {t for t in parent if f <= t and not t & x}
+                        assert held.isdisjoint(mine), seed
+                        held |= mine
+                    e, _ = split["split"]
+                    dropped = [t for t in parent if t not in held]
+                    assert frozenset(split["tree"].edges) in dropped, seed
+                    for t in dropped:
+                        assert e in t, seed
+                        tree = SteinerTree(root, tuple(sorted(t)), terms, 0.0)
+                        assert split["rule"](stream, root, tree) is not None, seed
+                    fired[split["rule"].__name__, shadowed is None] += 1
+                    several += len(split["split"][1]) > 1
+        assert set(fired) == {
+            ("_unclean_edge", True), ("_unclean_edge", False), ("_shadowed_edge", False)
+        }, fired
+        assert several > 10
+
+
 class TestExplain:
     def test_single_observation_g(self, fig2):
         got = explain(fig2, ["g"], k=3)
@@ -954,7 +1045,8 @@ class TestShadowedLinks:
         )
         assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
         stats = SolveStats()
-        stream = _CandidateStream(net, ["c"], ["pv"], stats, _shadow_rule(net, _reach_memo(net)))
+        rule = lambda r, x: shadowed_below(net, r, x)
+        stream = _CandidateStream(net, ["c"], ["pv"], stats, rule)
         _, _, tree = next(iter(stream))
         assert tree_to_scenario(net, tree) == Scenario.make("c", [("c", "pv")])
         assert stats.dp_runs == 2
@@ -1057,6 +1149,23 @@ class TestMultiMode:
         net = add_top(two_disorder_network())
         got = explain(net, ["s1", "s2"], k=1, multi=True)
         assert got[0].probability == pytest.approx(0.0081, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "decl, want",
+        [("event TOP prior=0.9", []), ("event TOP", []), ("event TOP prior=0.9 disorder", ["TOP"])],
+    )
+    def test_a_declared_root_is_a_culprit_only_as_a_disorder(self, decl, want):
+        # Both engines keep only disorder culprits, in both modes.
+        net = parse_network(
+            f"{decl}\nevent d prior=0.5 disorder\nevent e\ncause d e p=0.5\ncause TOP d p=0.5\n"
+        )
+        for multi in (False, True):
+            got = explain(net, ["e"], k=3, multi=multi)
+            oracle = best_explanations_bruteforce(net, ["e"], 3, multi=multi)
+            assert [(r.scenario, r.log_weight) for r in got] == [
+                (r.scenario, r.log_weight) for r in oracle
+            ]
+        assert [r.scenario.culprit for r in explain(net, ["e"], k=3, multi=True)] == want
 
 
 class TestStats:
