@@ -393,3 +393,11 @@ def add_top(net: CausalNetwork) -> CausalNetwork:
         if not net.causes_of(d)
     ]
     return CausalNetwork(events, net.causal + tuple(new_links), net.isa)
+
+
+def multi_roots(net: CausalNetwork) -> tuple[CausalNetwork, tuple[EventId, ...]]:
+    """The network multi mode searches and its culprits: a declared
+    distinguished root is kept, else ``add_top`` adds one, and only that
+    root is a culprit, if it is a disorder."""
+    work = net if net.top else add_top(net)
+    return work, tuple(r for r in work.disorders if r == work.top)

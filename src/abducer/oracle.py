@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import NetworkTooLargeError
-from .kb import CausalNetwork, EventId, add_top
+from .kb import CausalNetwork, EventId, multi_roots
 from .scenario import (
     Link,
     RankedExplanation,
@@ -27,11 +27,7 @@ from .scenario import (
 MAX_ORACLE_LINKS = 25
 
 
-def enumerate_valid_scenarios(
-    net: CausalNetwork,
-    max_links: int,
-    max_network_links: int = MAX_ORACLE_LINKS,
-) -> Iterator[Scenario]:
+def enumerate_valid_scenarios(net: CausalNetwork, max_links: int) -> Iterator[Scenario]:
     """Yield every valid scenario with at most max_links causations.
 
     The stream is deterministic: ordered by size, then culprit name, then
@@ -40,9 +36,9 @@ def enumerate_valid_scenarios(
     pruning is monotone, so the stream equals the literal power-set sweep.
     """
     links = tuple(sorted((l.cause, l.effect) for l in net.causal))
-    if len(links) > max_network_links:
+    if len(links) > MAX_ORACLE_LINKS:
         raise NetworkTooLargeError(
-            f"{len(links)} causal links exceed the sweep guard ({max_network_links})"
+            f"{len(links)} causal links exceed the sweep guard ({MAX_ORACLE_LINKS})"
         )
     culprits = tuple(n.id for n in net.events)
     max_links = min(max_links, len(links))
@@ -83,26 +79,20 @@ def best_explanations_bruteforce(
     net: CausalNetwork,
     observations: Iterable[EventId],
     k: int,
-    max_network_links: int = MAX_ORACLE_LINKS,
     culprit: EventId | None = None,
     multi: bool = False,
 ) -> list[RankedExplanation]:
     """The k most probable explanations of the observations, by exhaustion.
 
-    With ``culprit`` given, only scenarios rooted there are considered.
-    ``multi`` mirrors the solver's multi mode: the network is augmented
-    with the distinguished root (unless it already has one) and only
-    scenarios rooted there are considered."""
+    Every disorder is a culprit, or with ``multi`` the culprits and the
+    network are the solver's (``kb.multi_roots``); with ``culprit`` given,
+    only scenarios rooted there are considered."""
     obs = check_query(net, observations, k)
-    if multi:
-        net = net if net.top else add_top(net)
-        culprit = net.top
-    disorders = frozenset(net.disorders)
+    net, culprits = multi_roots(net) if multi else (net, net.disorders)
+    culprits = frozenset(c for c in culprits if culprit in (None, c))
     found: list[tuple[Scenario, float, float]] = []
-    for cand in enumerate_valid_scenarios(net, len(net.causal), max_network_links):
-        if cand.culprit not in disorders:
-            continue
-        if culprit is not None and cand.culprit != culprit:
+    for cand in enumerate_valid_scenarios(net, len(net.causal)):
+        if cand.culprit not in culprits:
             continue
         if not obs <= participants(net, cand):
             continue

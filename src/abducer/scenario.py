@@ -40,8 +40,8 @@ already placed, because then ``y`` would be caused twice, which
 ``preempting_alternative`` returns ``u -> y`` or an earlier alternative.
 
 ``x`` is never maximal in two cases.  (a) ``x`` is a proper isa ancestor of
-``r``, which stays a participant below it; ``shadowed_links(net, r)``
-collects these links, and no valid scenario rooted at ``r`` holds one.
+``r``, which stays a participant below it, so no valid scenario rooted at
+``r`` holds one of these links; the search forbids them from the start.
 (b) ``x`` is neither the culprit nor an effect, as in every scenario of a
 tree that enters ``x`` by an isa edge.  Then ``x`` joins the participants
 only through its own out-links.  The first of them hangs off a strict
@@ -147,34 +147,45 @@ def preempting_alternative(
     preempted by something yet more specific.  Every nested question keeps
     ``p``, ``placed`` and ``caused``, so each candidate is judged once per
     call: judged afresh, n isa levels with a link to y at each take 2**n
-    steps.
+    steps.  The questions nest once per isa level, so they wait on an
+    explicit stack: a candidate not yet judged is judged above the question
+    that met it, which then looks again.
     """
-    return _first_standing(net, placed, caused, sorted(net.isa_star(p)), {}, x, y)
+    climb = sorted(net.isa_star(p))
+    judged: dict[Link, Link | None] = {}
+    stack = [(x, y)]
+    while True:
+        alt = _open_alternative(net, placed, caused, climb, judged, stack[-1])
+        if alt is not None and alt not in judged:
+            stack.append(alt)
+            continue
+        link = stack.pop()
+        if not stack:
+            return alt
+        judged[link] = alt
 
 
-def _first_standing(
+def _open_alternative(
     net: CausalNetwork,
     placed: AbstractSet[Link],
     caused: frozenset[EventId],
     climb: list[EventId],
-    memo: dict[Link, Link | None],
-    x: EventId,
-    y: EventId,
+    judged: dict[Link, Link | None],
+    link: Link,
 ) -> Link | None:
-    """``preempting_alternative`` at the attach point whose sorted climb is
-    ``climb``; ``memo`` holds the answers found so far in the same call."""
+    """The first candidate against link, at the attach point whose sorted
+    climb is ``climb``, that stands or is not in ``judged`` yet."""
+    x, y = link
     for u in climb:
         if u == x or x not in net.isa_star(u):
             continue
         for w in (y, x):
             alt = (u, w)
-            if alt == (x, y) or alt in placed or not net.is_link(u, w):
+            if alt == link or alt in placed or not net.is_link(u, w):
                 continue
             if w != y and w in caused:
                 continue
-            if alt not in memo:
-                memo[alt] = _first_standing(net, placed, caused, climb, memo, u, w)
-            if memo[alt] is None:
+            if judged.get(alt) is None:
                 return alt
     return None
 
@@ -198,13 +209,13 @@ def shadowed_below(
     net: CausalNetwork,
     root: EventId,
     x: EventId,
-    reach: Callable[[EventId], frozenset[EventId]] | None = None,
+    reach: Callable[[EventId], frozenset[EventId]],
 ) -> frozenset[Link]:
     """The links x -> y shadowed below root (see the module docstring).
 
-    ``reach(root)`` gives the events root reaches (``reachable`` when not
-    given); it is asked only once some link passes the test at root itself
-    or x is off root's climb.
+    ``reach(root)`` gives the events root reaches (``reachable``, cached
+    by the caller); it is asked only once some link passes the test at
+    root itself or x is off root's climb.
     """
     if x == root:
         # The culprit is always maximal, so the rule never covers its links.
@@ -214,18 +225,12 @@ def shadowed_below(
     if x in climb:
         ys = [y for y in ys if _shadowed_at(net, root, x, y)]
     if ys:
-        for p in reach(root) if reach is not None else reachable(net, root):
+        for p in reach(root):
             if p != x and p not in climb and x in net.isa_star(p):
                 ys = [y for y in ys if _shadowed_at(net, p, x, y)]
                 if not ys:
                     break
     return frozenset((x, y) for y in ys)
-
-
-def shadowed_links(net: CausalNetwork, root: EventId) -> frozenset[Link]:
-    """The links from root's proper isa ancestors that are shadowed below
-    root; no valid scenario rooted at root holds one."""
-    return frozenset().union(*(shadowed_below(net, root, x) for x in net.isa_star(root)))
 
 
 def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
@@ -412,15 +417,12 @@ def structure_key(s: Scenario) -> tuple[int, tuple[Link, ...], EventId]:
     return (len(s.causations), s.sorted_causations, s.culprit)
 
 
-def order_and_rank(
-    weighted: Iterable[tuple[Scenario, float, float]],
-    tol: float = WEIGHT_TIE_TOL,
-) -> list[RankedExplanation]:
-    """Sort by weight, breaking ties within tol by structure_key."""
+def order_and_rank(weighted: Iterable[tuple[Scenario, float, float]]) -> list[RankedExplanation]:
+    """Sort by weight, breaking ties within ``WEIGHT_TIE_TOL`` by structure_key."""
     items = sorted(weighted, key=lambda t: (t[1], structure_key(t[0])))
     groups: list[list[tuple[Scenario, float, float]]] = []
     for item in items:
-        if groups and item[1] - groups[-1][-1][1] <= tol:
+        if groups and item[1] - groups[-1][-1][1] <= WEIGHT_TIE_TOL:
             groups[-1].append(item)
         else:
             groups.append([item])

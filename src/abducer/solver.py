@@ -22,18 +22,18 @@ node instead of rebuilding the whole adjacency.
 The taxonomy enters the search as an ordered table of tree rules.  A
 popped tree that breaks one is never yielded: its first offending edge
 splits its subspace into children that hold every tree the rule keeps,
-solved lazily like every other Lawler child (``_CandidateStream`` argues
-once that this split is exact).  The clean rule: every isa edge's head has
-an out-edge in the tree, and a terminal entered by an isa edge has a
-causal one; an unclean tree leaves an observation uncovered (only the
-culprit and link endpoints participate) or ends in an isa leaf that adds
-nothing to its scenario.  The shadow rule: a tree never holds a shadowed
-link (``scenario.shadowed_below``) out of an event it enters by isa.
-Those out of a root's own isa ancestors start out forbidden in that
-root's subspace; a root whose tree from the shared base DP uses one waits
-as the Lawler child that forbids them all.  The validity check stays on
-every tree, because a link can still be preempted in one scenario and not
-in another.
+solved lazily like every other Lawler child (``_CandidateStream`` holds
+the rules and their per-query caches, and argues once that this split is
+exact).  The clean rule: every isa edge's head has an out-edge in the
+tree, and a terminal entered by an isa edge has a causal one; an unclean
+tree leaves an observation uncovered (only the culprit and link endpoints
+participate) or ends in an isa leaf that adds nothing to its scenario.
+The shadow rule: no shadowed link (``scenario.shadowed_below``) out of an
+event the tree enters by isa.  Those out of a root's own isa ancestors
+start out forbidden in every subspace of that root; a root whose tree
+from the shared base DP uses one waits as the Lawler child that forbids
+them all.  The validity check stays on every tree, because a link can
+still be preempted in one scenario and not in another.
 
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
@@ -47,10 +47,10 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InconsistentConstraintsError, TooManyTerminalsError, UnknownEventError
-from .kb import CausalNetwork, EventId, add_top
+from .kb import CausalNetwork, EventId, multi_roots
 from .scenario import (
     WEIGHT_TIE_TOL,
     RankedExplanation,
@@ -474,21 +474,21 @@ class _CandidateStream:
     Two clean trees can still map to one scenario when isa routes join (an
     isa diamond), which is why ``explain`` keeps its ``seen`` set.
 
-    ``shadowed(r, x)``, when given, names the causal edges out of x that
-    no tree rooted at r may hold where x is never a maximal participant
-    (``scenario.shadowed_below``).  For the proper isa ancestors x of r (in
-    ``net.isa_star(r)``) that is every tree, so their edges are r's initial
-    forbidden keys and every child of r forbids them too.  A root whose
+    The shadow rule is the method ``shadowed(r, x)``: the causal edges out
+    of x that no tree rooted at r may hold where x is never a maximal
+    participant (``scenario.shadowed_below``).  The stream caches it and
+    ``reachable`` per query, so each root's reachable events are walked
+    once.  For the proper isa ancestors x of r that is every tree, so their
+    edges, ``_banned(r)``, are r's initial forbidden keys.  A root whose
     base tree uses one is not pushed; it waits as the child
     (F = {}, X = banned(r)) under its base weight less ``WEIGHT_TIE_TOL``.
-    Off r's climb it holds for the trees that enter x by an isa edge, which
-    the shadow rule (``_shadowed_edge``) enforces: its e = x->y is the
+    Every child keeps its parent's forbidden keys, so every subspace of r
+    forbids banned(r).  Elsewhere the rule holds for the trees that enter x
+    by an isa edge, which ``_shadowed_edge`` enforces: its e = x->y is the
     first causal edge, in T's BFS order, whose source T enters by isa and
     which ``shadowed(r, x)`` names, and its one fix forbids x's isa
     in-edges.  A dropped tree holds e and enters x by isa, so it is never
-    valid.  ``explain`` passes ``shadowed_below`` and ``reachable`` behind
-    one ``functools.cache`` each, and gives the stream the same ``reach``,
-    so each root's reachable events are walked once per query.
+    valid.  On r's climb e would be banned, so there it never fires.
 
     A yielded tree's children that provably hold no tree are never
     deferred (``_partition``): the exclusion child of an edge that every
@@ -504,13 +504,11 @@ class _CandidateStream:
         roots: Iterable[str],
         terminals: Iterable[str],
         stats: SolveStats | None = None,
-        shadowed: Callable[[str, str], frozenset[EdgeKey]] | None = None,
-        reach: Callable[[str], frozenset[EventId]] | None = None,
     ):
         self.net = net
         self.g = g = build_search_graph(net)
-        self.shadowed = shadowed
-        self.reach = reach or (lambda root: reachable(net, root))
+        self.reach = functools.cache(functools.partial(reachable, net))
+        self._below = functools.cache(functools.partial(shadowed_below, net, reach=self.reach))
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         _check_terminal_count(self.terminals)
@@ -538,10 +536,14 @@ class _CandidateStream:
     def _root_weight(self, root: str) -> float:
         return self.g.node_weight.get(root, 0.0)
 
+    def shadowed(self, root: str, x: str) -> frozenset[EdgeKey]:
+        """The shadow rule: the causal edges out of x that no tree rooted at
+        root holds where x is never a maximal participant."""
+        return self._below(root, x)
+
     def _banned(self, root: str) -> frozenset[EdgeKey]:
-        """The rule edges out of root's proper isa ancestors."""
-        if self.shadowed is None:
-            return frozenset()
+        """The rule edges out of root's proper isa ancestors, which every
+        subspace of root forbids."""
         climb = self.net.isa_star(root)
         return frozenset().union(*(self.shadowed(root, x) for x in climb if x != root))
 
@@ -587,11 +589,8 @@ class _CandidateStream:
 
     def _shadowed_edge(self, root: str, tree: SteinerTree) -> tuple[EdgeKey, list] | None:
         """The shadow rule's split of tree, or None (see the class docstring)."""
-        if self.shadowed is None:
-            return None
         causal = self.g.causal
-        climb = self.net.isa_star(root)
-        entered = {k[1] for k in tree.edges if k not in causal and k[1] not in climb}
+        entered = {k[1] for k in tree.edges if k not in causal}
         for e in tree.edges:
             x = e[0]
             if x in entered and e in causal and e in self.shadowed(root, x):
@@ -678,26 +677,21 @@ def explain(
 ) -> list[RankedExplanation]:
     """The k most probable explanations of the observations.
 
-    Single mode roots the search at each disorder; multi mode augments the
-    network with the distinguished root event and explains through it.  A
-    declared root is used as it is, and only if it is a disorder, as the
-    oracle and ``is_explanation`` require of every culprit.
-    Shadowed links are never offered.  Once k explanations are accepted,
+    Single mode roots the search at each disorder; multi mode explains
+    through the distinguished root, as ``kb.multi_roots`` and the oracle
+    take it.  Shadowed links are never offered.  Once k explanations are accepted,
     the stream stops past the k-th lightest of their weights (plus
     ``WEIGHT_TIE_TOL``), so no child bounded past it is solved.
     Fewer than k results are returned when fewer explanations exist.
     """
     obs = check_query(net, observations, k)
-    work = net if (multi and net.top) else (add_top(net) if multi else net)
-    roots = [r for r in work.disorders if not multi or r == work.top]
+    work, roots = multi_roots(net) if multi else (net, net.disorders)
     if not roots:
         return []
 
     found: list[tuple[Scenario, float, float]] = []
     seen: set[Scenario] = set()
-    reach = functools.cache(lambda root: reachable(work, root))
-    rule = functools.cache(lambda root, x: shadowed_below(work, root, x, reach))
-    stream = _CandidateStream(work, roots, obs, stats, rule, reach)
+    stream = _CandidateStream(work, roots, obs, stats)
     for _, _, tree in stream:
         scenario = tree_to_scenario(work, tree)
         # Clean trees can still share a scenario: two isa routes from one

@@ -97,16 +97,17 @@ class TestEnumeration:
             assert not remaining, f"{s!r} is not connected"
 
     def test_size_guard(self):
-        lines = ["event d prior=0.5 disorder"]
-        lines += [f"event e{i}" for i in range(26)]
-        lines += [f"cause d e{i} p=0.5" for i in range(26)]
-        net = parse_network("\n".join(lines))
+        def star(n):
+            lines = ["event d prior=0.5 disorder"]
+            lines += [f"event e{i}" for i in range(n)]
+            lines += [f"cause d e{i} p=0.5" for i in range(n)]
+            return parse_network("\n".join(lines))
+
         with pytest.raises(NetworkTooLargeError):
-            list(enumerate_valid_scenarios(net, 2))
-        # explicit override lets the caller take the cost knowingly:
-        # 27 empty scenarios (one per event) plus 26 single-link ones
-        got = enumerate_valid_scenarios(net, 1, max_network_links=26)
-        assert sum(1 for _ in got) == 27 + 26
+            list(enumerate_valid_scenarios(star(26), 2))
+        # At the guard the sweep runs: 26 empty scenarios (one per event)
+        # plus 25 single-link ones.
+        assert sum(1 for _ in enumerate_valid_scenarios(star(25), 1)) == 26 + 25
 
     @settings(max_examples=40, deadline=None)
     @given(tiny_networks())

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -22,7 +23,8 @@ from abducer import (
     probability,
 )
 from abducer.kb import TOP_NAME
-from abducer.scenario import raw_probability, shadowed_below, shadowed_links
+from abducer.scenario import raw_probability, reachable, shadowed_below
+from abducer.solver import _CandidateStream
 from abducer.synth import random_network
 
 from strategies import seeds, tiny_networks
@@ -129,21 +131,36 @@ class TestLongScenarios:
         assert broken.reason == "unattachable: no participant specializes e1000"
 
     def test_deep_isa_chain_with_a_link_at_every_level(self):
-        # a199 isa ... isa a0, each with a link to y.  Only a199->y stands,
-        # so it preempts a0->y.  Each alternative is judged once per call;
-        # judged afresh at every level, this took 2**n steps.
-        n = 200
-        net = parse_network(
-            "".join(f"event a{i}\n" for i in range(n - 1))
-            + f"event a{n - 1} prior=0.5 disorder\nevent y\n"
-            + "".join(f"isa a{i + 1} a{i}\n" for i in range(n - 1))
-            + "".join(f"cause a{i} y p=0.5\n" for i in range(n))
-        )
+        # a00199 isa ... isa a00000, each with a link to y.  Only a00199->y
+        # stands, so it preempts a00000->y.  Each alternative is judged once
+        # per call; judged afresh at every level, this took 2**n steps.
+        net, culprit = _isa_ladder(200)
         start = time.perf_counter()
-        verdict = is_valid_scenario(net, Scenario.make(f"a{n - 1}", [("a0", "y")]))
+        verdict = is_valid_scenario(net, Scenario.make(culprit, [("a00000", "y")]))
         assert time.perf_counter() - start < 1.0
         assert not verdict
-        assert verdict.reason == f"preempted: a0->y by a{n - 1}->y"
+        assert verdict.reason == f"preempted: a00000->y by {culprit}->y"
+
+    def test_isa_chain_deeper_than_the_recursion_limit(self):
+        # Each alternative's own alternatives sit one isa level further
+        # down, so the questions nest once per level; they are answered
+        # without a RecursionError.
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        net, culprit = _isa_ladder(n)
+        verdict = is_valid_scenario(net, Scenario.make(culprit, [("a00000", "y")]))
+        assert verdict.reason == f"preempted: a00000->y by {culprit}->y"
+
+
+def _isa_ladder(n):
+    """a(n-1) isa ... isa a0, named in sorted order, with a link from
+    every level to y; returns the network and its disorder a(n-1)."""
+    names = [f"a{i:05d}" for i in range(n)]
+    text = "".join(f"event {a}\n" for a in names[:-1])
+    text += f"event {names[-1]} prior=0.5 disorder\nevent y\n"
+    text += "".join(f"isa {b} {a}\n" for a, b in zip(names, names[1:]))
+    text += "".join(f"cause {a} y p=0.5\n" for a in names)
+    return parse_network(text), names[-1]
 
 
 class TestParticipants:
@@ -299,13 +316,23 @@ def _valid_scenarios(shape, seed):
     )
 
 
+def _banned(net, root):
+    """The links the solver forbids below root from the start: those
+    shadowed below root out of its proper isa ancestors."""
+    return _CandidateStream(net, (), ())._banned(root)
+
+
+def _below(net, root, x):
+    return shadowed_below(net, root, x, functools.partial(reachable, net))
+
+
 class TestShadowedLinks:
     def test_fig2(self, fig2):
         # d isa b isa a: a->e gives way to b->e at d, and neither other
         # specialization of a (c, f) is reachable from d.
-        assert shadowed_links(fig2, "d") == {("a", "e")}
-        assert shadowed_links(fig2, "c") == frozenset()
-        assert shadowed_links(fig2, "f") == frozenset()
+        assert _banned(fig2, "d") == {("a", "e")}
+        assert _banned(fig2, "c") == frozenset()
+        assert _banned(fig2, "f") == frozenset()
 
     def test_no_valid_scenario_holds_a_shadowed_link(self):
         checked = 0
@@ -315,7 +342,7 @@ class TestShadowedLinks:
                     shadowed = {}
                     for s in valid:
                         if s.culprit not in shadowed:
-                            shadowed[s.culprit] = shadowed_links(work, s.culprit)
+                            shadowed[s.culprit] = _banned(work, s.culprit)
                         assert not s.causations & shadowed[s.culprit], (shape, seed, s)
                         checked += bool(shadowed[s.culprit])
         assert checked > 1000
@@ -333,7 +360,7 @@ class TestShadowedLinks:
                         for x, y in s.causations:
                             if x == s.culprit or x in effects:
                                 continue
-                            rule = shadowed_below(work, s.culprit, x)
+                            rule = _below(work, s.culprit, x)
                             assert (x, y) not in rule, (shape, seed, s)
                             checked += bool(rule)
         assert scenarios > 25000
@@ -349,9 +376,9 @@ class TestShadowedLinks:
                 "isa d b\nisa b a\ncause a e p=0.9\ncause b e p=0.3\n"
             )
         )
-        assert shadowed_below(net, TOP_NAME, "a") == {("a", "e")}
-        assert shadowed_below(net, TOP_NAME, "b") == frozenset()
-        assert shadowed_links(net, TOP_NAME) == frozenset()
+        assert _below(net, TOP_NAME, "a") == {("a", "e")}
+        assert _below(net, TOP_NAME, "b") == frozenset()
+        assert _banned(net, TOP_NAME) == frozenset()
         assert not is_valid_scenario(net, scen(TOP_NAME, (TOP_NAME, "d"), ("a", "e")))
 
     def test_reachable_specialization_keeps_the_link(self):
@@ -361,9 +388,9 @@ class TestShadowedLinks:
             "event r prior=0.5 disorder\nevent x\nevent s\nevent y\n"
             "isa r x\nisa s x\ncause x y p=0.5\ncause r y p=0.5\n"
         )
-        assert shadowed_links(parse_network(text), "r") == {("x", "y")}
+        assert _banned(parse_network(text), "r") == {("x", "y")}
         net = parse_network(text + "cause r s p=0.5\n")
-        assert shadowed_links(net, "r") == frozenset()
+        assert _banned(net, "r") == frozenset()
         assert is_valid_scenario(net, scen("r", ("r", "s"), ("x", "y")))
 
     def test_alternative_preempted_by_a_link_into_it_does_not_shadow(self):
@@ -374,5 +401,5 @@ class TestShadowedLinks:
             "isa r u1\nisa u1 m\nisa m u\nisa u x\n"
             "cause x y p=0.5\ncause u y p=0.5\ncause u1 u p=0.5\n"
         )
-        assert ("x", "y") not in shadowed_links(net, "r")
+        assert ("x", "y") not in _banned(net, "r")
         assert is_valid_scenario(net, scen("r", ("x", "y")))

@@ -29,7 +29,7 @@ from abducer import (
     tree_to_scenario,
 )
 from abducer.kb import TOP_NAME
-from abducer.scenario import log_weight, participants, shadowed_below, shadowed_links
+from abducer.scenario import log_weight, participants
 from abducer.solver import _build_problem, _canonicalize, _CandidateStream
 from abducer.synth import (
     complexity_network,
@@ -408,21 +408,44 @@ def _is_clean(net, tree, terminals):
     return True
 
 
-def _holds_rule_link(net, root, edges, climb_only=False):
-    """Some causal edge x->y is shadowed below root, and x lies on root's
-    climb or (unless climb_only) the tree enters x by an isa edge."""
+def _holds_rule_link(stream, root, edges, climb_only=False):
+    """Some causal edge x->y is one the stream's rule names below root, and
+    x lies on root's climb or (unless climb_only) the tree enters x by an
+    isa edge."""
+    net = stream.net
     climb = net.isa_star(root)
     entered = set() if climb_only else {y for x, y in edges if not net.is_link(x, y)}
     return any(
         net.is_link(x, y)
         and (x in climb or x in entered)
-        and (x, y) in shadowed_below(net, root, x)
+        and (x, y) in stream.shadowed(root, x)
         for x, y in edges
     )
 
 
+class _RuleFree(_CandidateStream):
+    """The stream with no link shadowed, so only the clean rule splits."""
+
+    def shadowed(self, root, x):
+        return frozenset()
+
+
+class _ClimbRule(_CandidateStream):
+    """The stream with its rule cut to the links out of the root's climb,
+    which every subspace of the root forbids from the start."""
+
+    def shadowed(self, root, x):
+        return super().shadowed(root, x) if x in self.net.isa_star(root) else frozenset()
+
+
+def _rule(net):
+    """A stream over net with no roots and no terminals, for its rule."""
+    return _CandidateStream(net, (), ())
+
+
 def _stream_items(net, roots, terminals, limit=None):
-    stream = itertools.islice(_CandidateStream(net, roots, terminals), limit)
+    # The pinned streams predate the shadow rule; they are read rule-free.
+    stream = itertools.islice(_RuleFree(net, roots, terminals), limit)
     return [
         (round(w, 12), root, " ".join(f"{src}>{dst}" for src, dst in tree.edges))
         for w, root, tree in stream
@@ -491,7 +514,7 @@ class TestCandidateStream:
             g = build_search_graph(net)
             got = [
                 (root, frozenset(tree.edges), w)
-                for w, root, tree in _CandidateStream(net, net.disorders, terms)
+                for w, root, tree in _RuleFree(net, net.disorders, terms)
             ]
             assert [w for *_, w in got] == sorted(w for *_, w in got), seed
             want = set()
@@ -512,14 +535,10 @@ class TestCandidateStream:
             terms = frozenset(sorted({l.effect for l in net.causal})[:2])
             if not terms or not net.disorders:
                 continue
-            shadowed = {r: shadowed_links(net, r) for r in net.disorders}
-            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(net, net.disorders, terms)]
-            want = [i for i in plain if not any(k in shadowed[i[1]] for k in i[2])]
-            rule = lambda r, x: frozenset(k for k in shadowed[r] if k[0] == x)
-            got = [
-                (w, r, t.edges)
-                for w, r, t in _CandidateStream(net, net.disorders, terms, shadowed=rule)
-            ]
+            plain = [(w, r, t.edges) for w, r, t in _RuleFree(net, net.disorders, terms)]
+            stream = _ClimbRule(net, net.disorders, terms)
+            want = [i for i in plain if stream._banned(i[1]).isdisjoint(i[2])]
+            got = [(w, r, t.edges) for w, r, t in stream]
             assert got == want, seed
             dropped += len(plain) - len(want)
         assert dropped > 100
@@ -537,13 +556,13 @@ class TestCandidateStream:
                 continue
             work = add_top(net) if multi else net
             roots = [TOP_NAME] if multi else list(net.disorders)
-            rule = lambda r, x: shadowed_below(work, r, x)
-            plain = [(w, r, t.edges) for w, r, t in _CandidateStream(work, roots, terms)]
-            want = [i for i in plain if not _holds_rule_link(work, *i[1:])]
-            got = [(w, r, t.edges) for w, r, t in _CandidateStream(work, roots, terms, shadowed=rule)]
+            plain = [(w, r, t.edges) for w, r, t in _RuleFree(work, roots, terms)]
+            stream = _CandidateStream(work, roots, terms)
+            want = [i for i in plain if not _holds_rule_link(stream, *i[1:])]
+            got = [(w, r, t.edges) for w, r, t in stream]
             assert got == want, seed
             below += sum(
-                _holds_rule_link(work, r, es) and not _holds_rule_link(work, r, es, climb_only=True)
+                _holds_rule_link(stream, r, es) and not _holds_rule_link(stream, r, es, climb_only=True)
                 for _, r, es in plain
             )
         assert below > 50
@@ -652,13 +671,15 @@ def _recorded(rule):
 class _SplitRecorder(_CandidateStream):
     """The stream, recording each split its loop makes: the rule that
     fired, the popped tree's subspace (F, X), the tree, the split and the
-    children deferred for it."""
+    children deferred for it.  ``spaces`` lists the root and forbidden
+    keys of every tree pushed and every child deferred."""
 
     _rules = tuple(_recorded(rule) for rule in _CandidateStream._rules)
 
     def __init__(self, *args, **kwargs):
         self.splits = []
         self.subspace = {}
+        self.spaces = []
         self.open = None
         super().__init__(*args, **kwargs)
 
@@ -666,12 +687,18 @@ class _SplitRecorder(_CandidateStream):
         # A tree stays alive on the heap until it is popped, so its id is
         # its own when a rule sees it.
         self.subspace[id(tree)] = (forced, forbidden)
+        self.spaces.append((root, forbidden))
         super()._push(root, forced, forbidden, tree)
 
     def _defer(self, lb, root, forced, forbidden, grown=None):
         if self.open is not None:
             self.open["children"].append((forced, forbidden))
+        self.spaces.append((root, forbidden))
         super()._defer(lb, root, forced, forbidden, grown)
+
+
+class _RuleFreeRecorder(_SplitRecorder, _RuleFree):
+    """The split recorder over the rule-free stream."""
 
 
 class TestSplitSeam:
@@ -692,8 +719,8 @@ class TestSplitSeam:
             roots = [TOP_NAME] if multi else list(net.disorders)
             g = build_search_graph(work)
             all_trees = {}
-            for shadowed in (None, lambda r, x: shadowed_below(work, r, x)):
-                stream = _SplitRecorder(work, roots, terms, shadowed=shadowed)
+            for recorder in (_RuleFreeRecorder, _SplitRecorder):
+                stream = recorder(work, roots, terms)
                 list(stream)
                 for split in stream.splits:
                     root, forced, forbidden = split["root"], split["forced"], split["forbidden"]
@@ -713,12 +740,36 @@ class TestSplitSeam:
                         assert e in t, seed
                         tree = SteinerTree(root, tuple(sorted(t)), terms, 0.0)
                         assert split["rule"](stream, root, tree) is not None, seed
-                    fired[split["rule"].__name__, shadowed is None] += 1
+                    fired[split["rule"].__name__, recorder is _RuleFreeRecorder] += 1
                     several += len(split["split"][1]) > 1
         assert set(fired) == {
             ("_unclean_edge", True), ("_unclean_edge", False), ("_shadowed_edge", False)
         }, fired
         assert several > 10
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_every_subspace_forbids_the_banned_links(self, multi):
+        # Every pushed tree and deferred child of root r forbids banned(r),
+        # the rule links out of r's proper isa ancestors, so no yielded tree
+        # holds one and the shadow rule never needs to test r's climb.
+        banned_roots = 0
+        for seed in range(400):
+            net = random_network(random.Random(seed), max_events=7, max_causal=8, max_isa=6)
+            terms = frozenset(sorted({l.effect for l in net.causal})[:2])
+            if not terms or not net.disorders:
+                continue
+            work = add_top(net) if multi else net
+            roots = [TOP_NAME] if multi else list(net.disorders)
+            stream = _SplitRecorder(work, roots, terms)
+            yielded = list(stream)
+            for root, forbidden in stream.spaces:
+                assert stream._banned(root) <= forbidden, seed
+            for _, root, tree in yielded:
+                assert stream._banned(root).isdisjoint(tree.edges), seed
+            banned_roots += sum(bool(stream._banned(r)) for r in roots)
+        # The distinguished root has no isa ancestor, so in multi mode the
+        # sweep checks that nothing is banned and nothing breaks.
+        assert banned_roots > 50 or multi
 
 
 class TestExplain:
@@ -1009,7 +1060,7 @@ class TestShadowedLinks:
         # them would pop dozens of preempted trees (46 DPs) before it had
         # 10 explanations.
         net = parse_network(SHADOW_NET)
-        assert ("e1", "e4") in shadowed_links(net, "e0")
+        assert ("e1", "e4") in _rule(net)._banned("e0")
         obs = ["e2", "e3", "e4"]
         stats = SolveStats()
         got = explain(net, obs, k=10, stats=stats)
@@ -1025,7 +1076,7 @@ class TestShadowedLinks:
         # of e2 are never offered below TOP (66 DPs when they were).
         net = parse_network(SHADOW_NET)
         aug = add_top(net)
-        assert ("e2", "e4") in shadowed_below(aug, TOP_NAME, "e2")
+        assert ("e2", "e4") in _rule(aug).shadowed(TOP_NAME, "e2")
         obs = ["e2", "e3", "e4"]
         stats = SolveStats()
         got = explain(net, obs, k=10, multi=True, stats=stats)
@@ -1043,10 +1094,9 @@ class TestShadowedLinks:
             "event c prior=0.5 disorder\nevent pv\n"
             "isa c b\nisa b a\ncause a pv p=0.9\ncause b pv p=0.8\ncause c pv p=0.1\n"
         )
-        assert shadowed_links(net, "c") == {("a", "pv"), ("b", "pv")}
         stats = SolveStats()
-        rule = lambda r, x: shadowed_below(net, r, x)
-        stream = _CandidateStream(net, ["c"], ["pv"], stats, rule)
+        stream = _CandidateStream(net, ["c"], ["pv"], stats)
+        assert stream._banned("c") == {("a", "pv"), ("b", "pv")}
         _, _, tree = next(iter(stream))
         assert tree_to_scenario(net, tree) == Scenario.make("c", [("c", "pv")])
         assert stats.dp_runs == 2
@@ -1074,7 +1124,8 @@ class TestExplainAgainstOracle:
             rng = random.Random(seed)
             net = random_network(rng, max_events=8, max_causal=12, max_isa=10)
             obs = random_observations(rng, net)
-            if not any(shadowed_links(net, r) for r in net.disorders):
+            rule = _rule(net)
+            if not any(rule._banned(r) for r in net.disorders):
                 continue
             got = explain(net, obs, k=10)
             want = best_explanations_bruteforce(net, obs, 10)
@@ -1097,7 +1148,8 @@ class TestExplainAgainstOracle:
             if not obs or not net.disorders:
                 continue
             aug = add_top(net)
-            if not any(shadowed_below(aug, TOP_NAME, l.parent) for l in aug.isa):
+            rule = _rule(aug)
+            if not any(rule.shadowed(TOP_NAME, l.parent) for l in aug.isa):
                 continue
             got = explain(net, obs, k=10, multi=True)
             want = best_explanations_bruteforce(aug, obs, 10, culprit=TOP_NAME)
