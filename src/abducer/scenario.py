@@ -246,15 +246,36 @@ def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
     return frozenset(seen)
 
 
-def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> ValidityResult:
+def is_valid_scenario(
+    net: CausalNetwork, s: Scenario, order: Iterable[Link] | None = None, _shuffle=None
+) -> ValidityResult:
     """Decide scenario validity and produce a certificate or a reason.
 
     The search looks for some order in which all links attach; the verdict
     does not depend on the order tried (``_shuffle`` randomizes exploration
     for exactly that property test).
+
+    ``order`` is an optional hint: an order of s's links to try first
+    (``explain`` passes its tree's causal edges in BFS order).  Each link
+    ``x -> y`` in turn attaches at x itself when x is a maximal
+    participant, where nothing can preempt it (an alternative's cause
+    would lie on x's climb below x), and otherwise at the first maximal
+    participant below x that ``preempting_alternative`` clears.  Every step is then legal, so
+    if every link attaches the scenario is valid, with those steps as its
+    certificate, and no search runs.  If some link cannot attach, or the
+    hint is not an order of s's links, the search decides as without a
+    hint, so a hint changes at most the certificate of a valid scenario.
+    The hinted pass tracks the maximal participants as events join, so
+    it costs one step per link plus each participant's climb and, for a
+    link whose cause is no maximal participant, a look at each maximal
+    one: on an isa-free chain it is linear where the search is quadratic.
     """
     if not net.has_event(s.culprit):
         raise UnknownEventError(f"unknown event: {s.culprit}")
+    if order is not None:
+        steps = _attach_in_order(net, s, order)
+        if steps is not None:
+            return ValidityResult(True, ValidityCertificate(steps))
     links = s.sorted_causations
     for x, y in links:
         if not net.is_link(x, y):
@@ -352,6 +373,62 @@ def is_valid_scenario(net: CausalNetwork, s: Scenario, _shuffle=None) -> Validit
                         del parts[v]
     reason = first_failure[0] if first_failure else "no attachment order exists"
     return ValidityResult(False, reason=reason)
+
+
+def _attach_in_order(
+    net: CausalNetwork, s: Scenario, order: Iterable[Link]
+) -> tuple[AttachStep, ...] | None:
+    """The steps that attach s's links in ``order``, as ``is_valid_scenario``
+    describes its hint, or None if one cannot attach or the order is not
+    an order of s's links (each a network link, no effect caused twice or
+    the culprit caused), which the search then reports.
+
+    The maximal participants are kept as each event joins: a newcomer is
+    maximal unless a participant already lies below it (``covered`` holds
+    every event strictly above a participant), and it covers its climb.
+    """
+    links = s.causations
+    culprit = s.culprit
+    caused = {y for _, y in links}
+    if len(caused) != len(links) or culprit in caused:
+        return None
+    caused.add(culprit)
+    placed: set[Link] = set()
+    parts = {culprit}
+    maximal = {culprit}
+    covered = set(net.isa_star(culprit)) - parts
+    steps: list[AttachStep] = []
+    for link in order:
+        x, y = link
+        if link not in links or link in placed or not net.is_link(x, y):
+            return None
+        if x in maximal:
+            p = x
+        else:
+            p = next(
+                (
+                    q
+                    for q in sorted(maximal)
+                    if x in net.isa_star(q)
+                    and preempting_alternative(net, placed, caused, q, x, y) is None
+                ),
+                None,
+            )
+            if p is None:
+                return None
+        steps.append(AttachStep(p, x, link, y))
+        placed.add(link)
+        for v in link:
+            if v not in parts:
+                parts.add(v)
+                if v not in covered:
+                    maximal.add(v)
+                ups = net.isa_star(v)
+                if len(ups) > 1:
+                    ups = ups - {v}
+                    covered |= ups
+                    maximal -= ups
+    return tuple(steps) if len(placed) == len(links) else None
 
 
 def is_explanation(net: CausalNetwork, s: Scenario, observations: Iterable[EventId]) -> bool:

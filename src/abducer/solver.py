@@ -11,6 +11,10 @@ check.
 
 Lawler children are solved lazily: each one waits on the heap under a lower
 bound on its weight and is solved only when that bound reaches the top.
+A child first waits under its parent's weight; when that reaches the top,
+a child whose forced edges hang from the root gets a sharper bound from
+the base DP's distances to each terminal, and is re-keyed under it, or
+dropped when the bound shows it holds no tree.
 The stream stops once the top of its heap is past its ``bound``, which
 ``explain`` sets to the k-th accepted weight, so a child bounded past that
 weight is never solved.  Extension children that would give a node two
@@ -33,7 +37,9 @@ event the tree enters by isa.  Those out of a root's own isa ancestors
 start out forbidden in every subspace of that root; a root whose tree
 from the shared base DP uses one waits as the Lawler child that forbids
 them all.  The validity check stays on every tree, because a link can
-still be preempted in one scenario and not in another.
+still be preempted in one scenario and not in another; ``explain`` hands
+it the tree's own BFS order of links, which certifies nearly every valid
+tree without a search.
 
 The DP table is allocated lazily: a (node, subset) pair gets an entry only
 when some relaxation reaches it, so components unrelated to the terminals
@@ -418,14 +424,38 @@ class _CandidateStream:
     stream cover non-minimal candidates, whose extra branches explain
     nothing but are still legitimate scenarios.
 
-    A child enters the heap unsolved, keyed ``(lb, -1)`` where ``lb`` bounds
+    A child enters the heap unsolved, keyed ``(lb, -2)`` where ``lb`` bounds
     its weight from below: the parent's weight for an exclusion child, plus
     the forced edge's weight for an extension child, both less
     ``WEIGHT_TIE_TOL`` so that float rounding never lets a tree overtake a
-    child that could tie with it.  ``-1`` sorts before every tree key
-    ``(w, len(edges), edges, root)``, so a child is solved (and its tree
-    pushed under its real key) before any tree it could precede, and the
-    yield order is that of solving every child eagerly.  An extension edge
+    child that could tie with it.  A negative second field sorts before
+    every tree key ``(w, len(edges), edges, root)``, so a child is solved
+    (and its tree pushed under its real key) before any tree it could
+    precede, and the yield order is that of solving every child eagerly.
+    This holds for any key at or below the weight of the child's lightest
+    tree, so a child may be re-keyed under a sharper bound: it is still
+    solved before any tree it could precede, and if its bound lies past
+    the stop it is never solved at all.
+
+    A child keyed ``(lb, -2)`` that reaches the top is bounded once
+    (``_lower_bound``), then re-keyed ``(b, -1)`` if its bound b exceeds lb,
+    dropped if b is infinite, and solved otherwise; a child keyed ``-1`` is
+    solved when popped.  The bound needs the child's forced edges F to hang
+    from its root r: every source of F is r or a head of F.  Let
+    N = {r} + heads(F).  Every tree of the child holds F, which joins N to
+    r, and for each terminal t outside N a path from r to t; after its
+    last node a in N, that path leaves N by an edge (a, z) outside the
+    forbidden set, with z outside N, and goes on to t without F, whose
+    edges all end in N.  The edges of F and of each such path are
+    disjoint, and no weight is negative, so the tree weighs at least
+    w(r) + w(F) + max_t min_(a,z) [w(a, z) + d_t(z)], with d_t(z) z's
+    distance to t in the whole graph, which the base DP's single-terminal
+    masks hold.  A terminal with no such exit leaves the child empty, and
+    the bound infinite.  The bound is taken less ``WEIGHT_TIE_TOL``, like
+    every other key.  Children whose forced edges do not hang from the
+    root keep their parent's weight, and an extension child built without
+    a DP is keyed ``-1`` from the start, since its key is already its
+    weight.  An extension edge
     whose head is already in the tree would give that node two parents, so
     its child is never created; the edge is still forbidden to later
     extension children, which keeps their constraint sets unchanged.
@@ -522,6 +552,8 @@ class _CandidateStream:
         by_mask = _run_dp(base_problem, base_table)
         if self.stats is not None:
             self.stats.absorb(base_table)
+        # Each terminal's mask holds every node's distance to it.
+        self._dist = [by_mask[1 << i] for i in range(len(self.terminals))]
         for r in sorted(set(roots)):
             tree = _extract(base_problem, by_mask, base_table, r)
             if tree is None:
@@ -562,7 +594,37 @@ class _CandidateStream:
         heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
 
     def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, grown=None) -> None:
-        heapq.heappush(self._heap, ((lb, -1), next(self._counter), root, forced, forbidden, grown))
+        """Push a child unsolved: keyed -2 until it is bounded, or -1 if it
+        is built without a DP, whose key is already its weight."""
+        tag = -2 if grown is None else -1
+        heapq.heappush(self._heap, ((lb, tag), next(self._counter), root, forced, forbidden, grown))
+
+    def _lower_bound(self, root: str, forced: frozenset, forbidden: frozenset) -> float:
+        """A lower bound on the weight of every tree of (forced, forbidden):
+        infinite when it holds none, and minus infinity when the forced
+        edges do not hang from root (see the class docstring)."""
+        inside = {dst for _, dst in forced}
+        inside.add(root)
+        for src, _ in forced:
+            if src not in inside:
+                return -math.inf
+        weight, out = self.g.weight, self.g.out_edges
+        exits = [
+            (weight[k], k[1])
+            for a in inside
+            for k in out.get(a, ())
+            if k[1] not in inside and k not in forbidden
+        ]
+        far = 0.0
+        for t, dist in zip(self.terminals, self._dist):
+            if t not in inside:
+                near = math.inf
+                for w, z in exits:
+                    d = dist.get(z)
+                    if d is not None and w + d < near:
+                        near = w + d
+                far = max(far, near)
+        return self._root_weight(root) + math.fsum([weight[k] for k in forced]) + far - WEIGHT_TIE_TOL
 
     def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset, grown) -> None:
         if grown is not None:
@@ -602,7 +664,14 @@ class _CandidateStream:
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap and self._heap[0][0][0] <= self.bound:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
-            if key[1] == -1:
+            if key[1] == -2:
+                lb = self._lower_bound(root, forced, forbidden)
+                if lb > key[0]:
+                    if lb < math.inf:
+                        entry = ((lb, -1), next(self._counter), root, forced, forbidden, None)
+                        heapq.heappush(self._heap, entry)
+                    continue
+            if key[1] < 0:
                 self._solve_child(root, forced, forbidden, tree)
                 continue
             lb = key[0] - WEIGHT_TIE_TOL
@@ -702,7 +771,8 @@ def explain(
         # A clean tree covers every observation (see _CandidateStream).
         if not obs <= participants(work, scenario):
             raise AssertionError(f"{scenario!r} misses an observation")
-        if is_valid_scenario(work, scenario):
+        order = [e for e in tree.edges if e in scenario.causations]
+        if is_valid_scenario(work, scenario, order):
             found.append(
                 (scenario, log_weight(work, scenario), raw_probability(work, scenario))
             )

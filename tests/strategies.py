@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the suite.
+"""Hypothesis strategies and seeded query families shared across the suite.
 
 Networks are drawn by seeding the package's own generators; shrinking
 then happens over the seed, which is crude but keeps the generator code
@@ -38,3 +38,21 @@ def networks_with_observations(draw, max_events=12, max_causal=14, max_isa=8):
 def taxonomies(draw):
     rng = random.Random(draw(seeds))
     return random_taxonomy(rng)
+
+
+# random_network's size limits for each sweep family.
+FAMILIES = {
+    "small": {},
+    "dense": dict(max_events=40, max_causal=80, max_isa=20),
+    "isa-rich": dict(max_events=8, max_causal=10, max_isa=6),
+}
+
+
+def family_queries(family, seed=0, count=30):
+    """The first ``count`` (network, observations) queries of a family,
+    each a random_network and then its observations, drawn from
+    Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        net = random_network(rng, **FAMILIES[family])
+        yield net, random_observations(rng, net)

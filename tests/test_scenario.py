@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import itertools
 import math
 import random
 import sys
@@ -22,12 +24,12 @@ from abducer import (
     participants,
     probability,
 )
-from abducer.kb import TOP_NAME
-from abducer.scenario import raw_probability, reachable, shadowed_below
-from abducer.solver import _CandidateStream
+from abducer.kb import TOP_NAME, multi_roots
+from abducer.scenario import preempting_alternative, raw_probability, reachable, shadowed_below
+from abducer.solver import _CandidateStream, tree_to_scenario
 from abducer.synth import random_network
 
-from strategies import seeds, tiny_networks
+from strategies import FAMILIES, family_queries, seeds, tiny_networks
 
 
 def scen(culprit, *links):
@@ -84,17 +86,23 @@ class TestTreeShape:
 
 class TestCertificates:
     def replay(self, net, s, cert):
-        """Re-run the certificate steps and confirm each is locally legal."""
+        """Re-run the certificate steps and confirm each is locally legal:
+        the participant is maximal, specializes the cause, and nothing
+        preempts the link there."""
         placed = set()
         parts = {s.culprit}
+        caused = frozenset(y for _, y in s.causations) | {s.culprit}
         for step in cert.steps:
             x, y = step.added_link
+            p = step.participant
             assert step.added_link in s.causations
             assert step.added_link not in placed
             assert step.ref_class == x
             assert step.sub_scenario_root == y
-            assert step.participant in parts
-            assert x in net.isa_star(step.participant)
+            assert p in parts
+            assert not any(q != p and p in net.isa_star(q) for q in parts)
+            assert x in net.isa_star(p)
+            assert preempting_alternative(net, placed, caused, p, x, y) is None
             placed.add(step.added_link)
             parts.update((x, y))
         assert placed == set(s.causations)
@@ -265,6 +273,86 @@ class TestOrderIndependence:
             verdict = is_valid_scenario(net, s, _shuffle=rng)
             if verdict:
                 replay(net, s, verdict.certificate)
+
+
+class TestAttachOrderHint:
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_networks(), seeds)
+    def test_any_order_gives_the_unhinted_verdict(self, net, seed):
+        rng = random.Random(seed)
+        replay = TestCertificates().replay
+        for s in _candidates(net):
+            order = list(s.sorted_causations)
+            rng.shuffle(order)
+            plain = is_valid_scenario(net, s)
+            hinted = is_valid_scenario(net, s, order)
+            assert (hinted.valid, hinted.reason) == (plain.valid, plain.reason)
+            if hinted:
+                replay(net, s, hinted.certificate)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_tree_orders_of_a_stream_sweep(self, family):
+        # The hint explain passes: each yielded tree's causal edges in its
+        # BFS order.
+        replay = TestCertificates().replay
+        checked = 0
+        for net, obs in family_queries(family):
+            for work, roots in ((net, net.disorders), multi_roots(net)):
+                if not obs or not roots:
+                    continue
+                for _, _, tree in itertools.islice(_CandidateStream(work, roots, obs), 40):
+                    s = tree_to_scenario(work, tree)
+                    order = [e for e in tree.edges if e in s.causations]
+                    plain = is_valid_scenario(work, s)
+                    hinted = is_valid_scenario(work, s, order)
+                    assert (hinted.valid, hinted.reason) == (plain.valid, plain.reason)
+                    if hinted:
+                        replay(work, s, hinted.certificate)
+                    checked += 1
+        assert checked > 100
+
+    def test_a_failed_order_falls_back_to_the_search(self):
+        # n0 isa n1 and n0 -> n2: once n0 joins, n0 -> n2 preempts n1 -> n2,
+        # so the hinted order fails at n1 -> n2 and the search finds the
+        # order that attaches n1 -> n2 first.
+        net = add_top(random_network(random.Random(68), 6, 9, 6))
+        assert "n1" in net.isa_star("n0") and net.is_link("n0", "n2")
+        s = scen(TOP_NAME, (TOP_NAME, "n0"), (TOP_NAME, "n1"), ("n1", "n2"))
+        plain = is_valid_scenario(net, s)
+        assert plain
+        assert is_valid_scenario(net, s, [(TOP_NAME, "n0"), (TOP_NAME, "n1"), ("n1", "n2")]) == plain
+
+    def test_a_hint_that_is_no_order_of_the_links_is_ignored(self, fig2):
+        s = scen("d", ("b", "e"), ("d", "g"))
+        plain = is_valid_scenario(fig2, s)
+        for order in ([], [("b", "e")], [("b", "e"), ("b", "e"), ("d", "g")], [("b", "e"), ("f", "g")]):
+            assert is_valid_scenario(fig2, s, order) == plain
+
+    def test_a_chain_attaches_in_one_pass(self):
+        n = 10_000
+        net = parse_network(
+            "event e0 prior=0.5 disorder\n"
+            + "".join(f"event e{i}\n" for i in range(1, n))
+            + "".join(f"cause e{i} e{i + 1} p=0.9\n" for i in range(n - 1))
+        )
+        links = [(f"e{i}", f"e{i + 1}") for i in range(n - 1)]
+        start = time.perf_counter()
+        verdict = is_valid_scenario(net, Scenario.make("e0", links), links)
+        assert time.perf_counter() - start < 1.0
+        assert [(step.participant, step.added_link) for step in verdict.certificate.steps] == [
+            (x, (x, y)) for x, y in links
+        ]
+
+    def test_unhinted_verdicts_are_unchanged(self):
+        # Verdicts, reasons and certificates of unhinted calls over a seeded
+        # sweep, hashed; the digest was taken before the hint existed.
+        h = hashlib.sha256()
+        for seed in range(60):
+            net = random_network(random.Random(seed), max_events=8, max_causal=10, max_isa=6)
+            for work in (net, add_top(net)):
+                for s in _candidates(work):
+                    h.update(repr((s, is_valid_scenario(work, s))).encode())
+        assert h.hexdigest()[:16] == "77fc40d6370d4d0c"
 
 
 def _candidates(net, cap=3):

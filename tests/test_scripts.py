@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ("oracle_vs_solver.py", ["--networks", "3", "--k", "1"], "solver "),
         ("complexity_probe.py", ["--k-max", "1"], "fitted c = "),
         ("oracle_vs_solver.py", ["--networks", "3", "--k", "3", "--multi"], "solver "),
+        ("oracle_vs_solver.py", ["--networks", "3", "--k", "10"], "solver "),
     ],
 )
 def test_script_runs_from_a_checkout(script, args, last, tmp_path):

@@ -1,7 +1,9 @@
 import collections
+import heapq
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,8 @@ from abducer import (
     steiner_dp,
     tree_to_scenario,
 )
-from abducer.kb import TOP_NAME
-from abducer.scenario import log_weight, participants
+from abducer.kb import TOP_NAME, multi_roots
+from abducer.scenario import WEIGHT_TIE_TOL, log_weight, participants
 from abducer.solver import _build_problem, _canonicalize, _CandidateStream
 from abducer.synth import (
     complexity_network,
@@ -38,7 +40,7 @@ from abducer.synth import (
     two_disorder_network,
 )
 
-from strategies import networks_with_observations, tiny_networks
+from strategies import FAMILIES, family_queries, networks_with_observations, tiny_networks
 
 
 class TestSearchGraph:
@@ -597,11 +599,12 @@ class TestCandidateStream:
         # d->o is the best tree; every other tree lies past the k=1 stop.
         # Forcing x_i->o would give o a second parent, so that child is
         # never built.  Forcing d->x_i leaves the tree d->o, so that child's
-        # optimum is d->o plus d->x_i, built in closed form without a DP:
-        # with p(x_i->o)=0.95 its bound sorts after d->x0->o and it is never
-        # popped, with 0.5 it sorts before d->x0->o and is popped.  Either
-        # way only the base DP and the exclusion child of d->o (which finds
-        # d->x0->o) run.
+        # optimum is d->o plus d->x_i, built in closed form without a DP
+        # and keyed past the stop.  The exclusion child of d->o reaches the
+        # top, but each of its trees leaves d by some d->x_i and then
+        # reaches o, so its lower bound, w(d) + ln 2 + ln(1/p(x_i->o)),
+        # lies past the stop as well: it is re-keyed and never solved.
+        # Only the base DP runs.
         text = "event d prior=0.5 disorder\nevent o\ncause d o p=0.9\n"
         for i in range(10):
             text += f"event x{i}\ncause d x{i} p=0.5\ncause x{i} o p={p_xo}\n"
@@ -609,7 +612,7 @@ class TestCandidateStream:
         stats = SolveStats()
         got = explain(net, ["o"], k=1, stats=stats)
         assert [r.scenario for r in got] == [Scenario.make("d", [("d", "o")])]
-        assert stats.dp_runs == 2
+        assert stats.dp_runs == 1
 
     def test_the_stop_bound_holds_inside_the_stream(self):
         # The culprit d alone explains d.  Both extension children lie past
@@ -862,14 +865,8 @@ class TestExplain:
 
 
 def _dense_query(seed, index):
-    """Query ``index`` (0-based) of the dense family, whose 30 queries per
-    seed are drawn from Random(seed) as a 40/80/20 random network and
-    then its observations."""
-    rng = random.Random(seed)
-    for _ in range(index + 1):
-        net = random_network(rng, max_events=40, max_causal=80, max_isa=20)
-        obs = random_observations(rng, net)
-    return net, obs
+    """Query ``index`` (0-based) of the dense family at seed."""
+    return list(family_queries("dense", seed, index + 1))[-1]
 
 
 class TestDenseRegressions:
@@ -958,11 +955,7 @@ class TestEmptyChildren:
                         skipped.append((kind, self.g, root, self.terminals, f, x))
 
         monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
-        params = {} if family == "small" else dict(max_events=40, max_causal=80, max_isa=20)
-        rng = random.Random(0)
-        for _ in range(30):
-            net = random_network(rng, **params)
-            obs = random_observations(rng, net)
+        for net, obs in family_queries(family):
             for multi in (False, True):
                 try:
                     explain(net, obs, k=3, multi=multi)
@@ -971,6 +964,113 @@ class TestEmptyChildren:
         assert {kind for kind, *_ in skipped} == {"exclusion", "extension"}
         for _, g, root, terminals, forced, forbidden in skipped:
             assert steiner_dp(g, root, terminals, forced, forbidden)[0] is None
+
+
+def _distances_to(g, t):
+    """Every node's distance to t in g, by a reverse Dijkstra of its own."""
+    dist = {t: 0.0}
+    heap = [(0.0, t)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for w, u, _ in g.in_edges.get(v, ()):
+            if d + w < dist.get(u, math.inf):
+                dist[u] = d + w
+                heapq.heappush(heap, (d + w, u))
+    return dist
+
+
+def _reference_bound(g, root, terminals, forced, forbidden):
+    """The child bound of the ``_CandidateStream`` docstring, from the
+    graph's edge list and fresh distances."""
+    inside = {root} | {dst for _, dst in forced}
+    if any(src not in inside for src, _ in forced):
+        return -math.inf
+    exits = [
+        (w, z) for (a, z), w in g.weight.items() if a in inside and z not in inside and (a, z) not in forbidden
+    ]
+    far = 0.0
+    for t in terminals:
+        if t not in inside:
+            dist = _distances_to(g, t)
+            far = max(far, min((w + dist[z] for w, z in exits if z in dist), default=math.inf))
+    return g.node_weight.get(root, 0.0) + math.fsum(g.weight[k] for k in forced) + far - WEIGHT_TIE_TOL
+
+
+class _Unbounded(_CandidateStream):
+    """The stream with every child keyed by its parent's weight."""
+
+    def _lower_bound(self, root, forced, forbidden):
+        return -math.inf
+
+
+class TestChildBounds:
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bounds_are_sound(self, monkeypatch, family, multi):
+        # Every bound the stream computes is the direct computation's, and
+        # every child is solved: one bounded at infinity (dropped) holds no
+        # tree, and any other weighs at least its bound (so a re-keyed
+        # child still sorts before its trees).
+        bounds = []
+
+        class Recording(_CandidateStream):
+            def _lower_bound(self, root, forced, forbidden):
+                lb = super()._lower_bound(root, forced, forbidden)
+                bounds.append((self.g, self.terminals, root, forced, forbidden, lb))
+                return lb
+
+        monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
+        for net, obs in family_queries(family, count=100):
+            if obs:
+                explain(net, obs, k=3, multi=multi)
+        seen = collections.Counter()
+        for g, terminals, root, forced, forbidden, lb in bounds:
+            want = _reference_bound(g, root, terminals, forced, forbidden)
+            assert lb == want or abs(lb - want) <= 1e-12
+            tree, _ = steiner_dp(g, root, terminals, forced, forbidden)
+            if lb == math.inf:
+                assert tree is None
+                seen["dropped"] += 1
+            elif lb > -math.inf:
+                seen["bounded"] += 1
+                if tree is not None:
+                    assert g.node_weight.get(root, 0.0) + tree.total_weight >= lb
+        assert seen["dropped"] and seen["bounded"]
+
+    @pytest.mark.parametrize("family", ["small", "isa-rich"])
+    def test_bounds_keep_the_yield_order(self, family):
+        for net, obs in family_queries(family, count=100):
+            for work, roots in ((net, net.disorders), multi_roots(net)):
+                if not obs or not roots:
+                    continue
+                got = [(w, root, tree.edges) for w, root, tree in _CandidateStream(work, roots, obs)]
+                want = [(w, root, tree.edges) for w, root, tree in _Unbounded(work, roots, obs)]
+                assert got == want
+
+    @pytest.mark.parametrize("multi, most", [(False, 502), (True, 1182)])
+    def test_dense_family_dp_count(self, multi, most):
+        # Dense family, k=3, seeds 0-3.  Keyed by their parents' weights
+        # alone, the children took 707 DPs in single mode and 1,501 in
+        # multi mode.
+        stats = SolveStats()
+        for seed in range(4):
+            for net, obs in family_queries("dense", seed):
+                if obs:
+                    explain(net, obs, k=3, multi=multi, stats=stats)
+        assert stats.dp_runs <= most
+
+    @pytest.mark.parametrize("kind, sizes", [("cause", [9999]), ("isa", [])])
+    def test_a_10000_event_chain_answers_quickly(self, chain_texts, kind, sizes):
+        # The causal chain runs one DP, and the tree's own order certifies
+        # its scenario with one step per link.  The isa chain's one tree
+        # reaches e9999 by isa alone, so nothing explains it.
+        net = parse_network(chain_texts[kind].replace("event e0\n", "event e0 prior=0.5 disorder\n", 1))
+        start = time.perf_counter()
+        got = explain(net, ["e9999"], k=1)
+        assert time.perf_counter() - start < 2.0
+        assert [len(r.scenario.causations) for r in got] == sizes
 
 
 class TestDenseProperties:
@@ -1023,7 +1123,9 @@ class TestTraceSeam:
 
         for name in self.NAMES:
             monkeypatch.setattr(abducer.solver, name, counted(name, getattr(abducer.solver, name)))
-        got = explain(fig2, ["e", "g"], k=3)
+        # On obs g with k=10 the stream still solves Lawler children (4 DPs
+        # in all); on obs e, g with k=3 every child is bounded away.
+        got = explain(fig2, ["g"], k=10)
         assert all(calls.values()), calls
         assert calls["tree_to_scenario"] >= calls["is_valid_scenario"] >= accepted >= len(got) > 0
 
