@@ -9,46 +9,40 @@ Lawler partitioning (re-solving with forced/forbidden edge sets), and each
 candidate tree is kept only if its scenario passes the canonical validity
 check.
 
-Lawler children are solved lazily: each one waits on the heap under a lower
-bound on its weight and is solved only when that bound reaches the top.
-A child first waits under its parent's weight; when that reaches the top,
-a child whose forced edges hang from the root gets a sharper bound from
-the base DP's distances to each terminal, and is re-keyed under it, or
-dropped when the bound shows it holds no tree.
-The stream stops once the top of its heap is past its ``bound``, which
-``explain`` sets to the k-th accepted weight, so a child bounded past that
-weight is never solved.  Extension children that would give a node two
-parents are never created, and an extension child whose forced edge leaves
-the parent tree needs no DP: its optimum is the parent tree plus that edge.
-A child's DP filters the graph's per-node in-edge lists as it reaches each
-node instead of rebuilding the whole adjacency.
+The enumeration is lazy (``_CandidateStream`` argues each step): every
+heap entry but a tree waits under a lower bound on the weight of its
+trees and is opened only when that reaches the top, and the stream stops
+once the top is past the k-th accepted weight.  One base DP serves every
+root: a root waits under its weight there, and its tree is extracted only
+when it is popped.  A Lawler child first waits under its parent's weight,
+then under a sharper bound from the base DP's distances to each
+terminal, or is dropped when that bound shows it holds no tree.  Children
+that provably hold no tree are never created, and an extension child
+whose forced edge leaves the parent tree needs no DP: its optimum is the
+parent tree plus that edge.
 
-The taxonomy enters the search as an ordered table of tree rules.  A
-popped tree that breaks one is never yielded: its first offending edge
-splits its subspace into children that hold every tree the rule keeps,
-solved lazily like every other Lawler child (``_CandidateStream`` holds
-the rules and their per-query caches, and argues once that this split is
-exact).  The clean rule: every isa edge's head has an out-edge in the
-tree, and a terminal entered by an isa edge has a causal one; an unclean
-tree leaves an observation uncovered (only the culprit and link endpoints
-participate) or ends in an isa leaf that adds nothing to its scenario.
-The shadow rule: no shadowed link (``scenario.shadowed_below``) out of an
-event the tree enters by isa.  Those out of a root's own isa ancestors
-start out forbidden in every subspace of that root; a root whose tree
-from the shared base DP uses one waits as the Lawler child that forbids
-them all.  The validity check stays on every tree, because a link can
-still be preempted in one scenario and not in another; ``explain`` hands
-it the tree's own BFS order of links, which certifies nearly every valid
-tree without a search.
+The taxonomy enters the search as an ordered table of tree rules: a
+popped tree that breaks one is never yielded, and its first offending
+edge splits its subspace into children that hold every tree the rule
+keeps.  The clean rule drops trees that leave an observation uncovered
+(only the culprit and link endpoints participate) or end in an isa leaf
+that adds nothing to their scenario; an isa edge whose head has no
+out-edge that could make it clean is dead, and the base DP and every
+subspace forbid it up front.  The shadow rule drops trees that hold a
+shadowed link (``scenario.shadowed_below``) out of an event they enter
+by isa; those out of a root's own isa ancestors are forbidden in every
+subspace of that root.  The validity check stays on every tree, because
+a link can still be preempted in one scenario and not in another;
+``explain`` hands it the tree's own BFS order of links, which certifies
+nearly every valid tree without a search.
 
-The DP table is allocated lazily: a (node, subset) pair gets an entry only
-when some relaxation reaches it, so components unrelated to the terminals
-are never touched.
+The DP keeps one distance dict and one backpointer dict per terminal
+subset, and a node enters them only when some relaxation reaches it, so
+components unrelated to the terminals are never touched.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -103,9 +97,10 @@ class WeightedSearchGraph:
         ins: dict[str, list[tuple[float, str, EdgeKey]]] = {}
         outs: dict[str, list[EdgeKey]] = {}
         for k in sorted(self.weight):
-            ins.setdefault(k[1], []).append((self.weight[k], k[0], k))
             outs.setdefault(k[0], []).append(k)
-        self.in_edges = {v: tuple(sorted(es)) for v, es in ins.items()}
+        for e in sorted((w, k[0], k) for k, w in self.weight.items()):
+            ins.setdefault(e[2][1], []).append(e)
+        self.in_edges = {v: tuple(es) for v, es in ins.items()}
         self.out_edges = {v: tuple(ks) for v, ks in outs.items()}
 
 
@@ -127,23 +122,23 @@ root-down BFS order, the format ``steiner_dp`` takes its constraints in."""
 
 
 class DPTable:
-    """Lazily allocated map (node, terminal bitmask) -> backpointer.
+    """Lazily allocated DP backpointers, one dict per terminal bitmask:
+    ``backs[mask][v]`` is None for a base entry, the submask s of a merge
+    of s and mask ^ s, or ``(next, key)`` for an edge.  The weights live
+    in the per-mask distance dicts the DP returns."""
 
-    The weights live in the per-mask distance dicts the DP returns.
-    """
-
-    __slots__ = ("entries", "relaxations")
+    __slots__ = ("backs", "relaxations")
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[str, int], tuple] = {}
+        self.backs: list[dict[str, object]] = []
         self.relaxations = 0
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.backs))
 
     def touched_nodes(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.entries)
+        return frozenset().union(*self.backs)
 
 
 class SolveStats:
@@ -245,17 +240,17 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
     nt = len(terms)
     full = (1 << nt) - 1
     by_mask: list[dict[str, float]] = [dict() for _ in range(full + 1)]
-    backs = table.entries
+    table.backs = backs_by_mask = [dict() for _ in range(full + 1)]
     in_adj, in_edges = problem.in_adj, problem.in_edges
     inf = math.inf
     relaxations = 0
 
     for mask in range(1, full + 1):
-        dist = by_mask[mask]
+        dist, backs = by_mask[mask], backs_by_mask[mask]
         if mask & (mask - 1) == 0:
             t = terms[mask.bit_length() - 1]
             dist[t] = 0.0
-            backs[(t, mask)] = ("base",)
+            backs[t] = None
         else:
             low = mask & -mask
             s1 = (mask - 1) & mask
@@ -271,17 +266,16 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
                         cand = w1 + w2
                         if cand < dist.get(v, inf):
                             dist[v] = cand
-                            backs[(v, mask)] = ("merge", s1)
+                            backs[v] = s1
                 s1 = (s1 - 1) & mask
 
         heap = [(w, v) for v, w in dist.items()]
         heapq.heapify(heap)
-        settled: set[str] = set()
         while heap:
             d, v = heapq.heappop(heap)
-            if v in settled or d > dist[v]:
+            # No weight is negative, so v is popped at dist[v] only once.
+            if d > dist[v]:
                 continue
-            settled.add(v)
             es = in_adj.get(v)
             if es is None:
                 es = in_edges(v)
@@ -290,26 +284,10 @@ def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
                 nd = d + w
                 if nd < dist.get(u, inf):
                     dist[u] = nd
-                    backs[(u, mask)] = ("edge", v, k)
+                    backs[u] = (v, k)
                     heapq.heappush(heap, (nd, u))
     table.relaxations += relaxations
     return by_mask
-
-
-def _trace(table: DPTable, node: str, mask: int, acc: set[EdgeKey]) -> None:
-    todo = [(node, mask)]
-    while todo:
-        node, mask = todo.pop()
-        back = table.entries.get((node, mask))
-        if back is None:
-            raise AssertionError("missing DP backpointer")
-        if back[0] == "merge":
-            todo.append((node, back[1]))
-            todo.append((node, mask ^ back[1]))
-        elif back[0] == "edge":
-            _, nxt, k = back
-            acc.add(k)
-            todo.append((nxt, mask))
 
 
 def _canonicalize(
@@ -317,15 +295,12 @@ def _canonicalize(
 ) -> tuple[tuple[EdgeKey, ...], float]:
     """Extract a deterministic arborescence from a traced key set."""
     out: dict[str, list[EdgeKey]] = {}
-    for k in set(keys):
+    for k in sorted(set(keys)):
         out.setdefault(k[0], []).append(k)
-    for ks in out.values():
-        ks.sort()
     visited = {root}
     queue = [root]
     chosen: list[EdgeKey] = []
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         for k in out.get(v, ()):
             if k[1] not in visited:
                 visited.add(k[1])
@@ -349,7 +324,15 @@ def _extract(
     if full:
         if root not in by_mask[full]:
             return None
-        _trace(table, root, full, acc)
+        todo = [(root, full)]
+        while todo:
+            node, mask = todo.pop()
+            back = table.backs[mask][node]
+            if type(back) is int:
+                todo += (node, back), (node, mask ^ back)
+            elif back is not None:
+                acc.add(back[1])
+                todo.append((back[0], mask))
     edges, weight = _canonicalize(problem.g, root, acc, problem.terminals)
     return SteinerTree(root, edges, frozenset(problem.terminals), weight)
 
@@ -412,53 +395,53 @@ def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
 class _CandidateStream:
     """Best-first Lawler enumeration of candidate trees over several roots.
 
-    The stream takes the network and builds its search graph from it.  It
-    yields (weight, root, tree) with weight = root node weight + tree
-    weight, in non-decreasing order, and stops once the top key of its
-    heap is past ``bound`` (infinite until the caller lowers it): every
-    tree a heap entry holds weighs at least its key, so no tree it skips is
-    within the bound.  Emitted trees are partitioned away by two kinds of
+    The stream builds its search graph from the network.  It yields
+    (weight, root, tree) with weight = root node weight + tree weight, in
+    non-decreasing order, and stops once the top key of its heap is past
+    ``bound`` (infinite until the caller lowers it): every tree a heap
+    entry holds weighs at least its key, so no tree it skips is within the
+    bound.  Emitted trees are partitioned away by two kinds of
     subproblem: excluding one tree edge (forcing the preceding prefix), and
     strict extensions (forcing the whole tree plus one further causal edge,
     earlier-ordered extension edges forbidden).  The second kind makes the
     stream cover non-minimal candidates, whose extra branches explain
     nothing but are still legitimate scenarios.
 
-    A child enters the heap unsolved, keyed ``(lb, -2)`` where ``lb`` bounds
-    its weight from below: the parent's weight for an exclusion child, plus
-    the forced edge's weight for an extension child, both less
-    ``WEIGHT_TIE_TOL`` so that float rounding never lets a tree overtake a
-    child that could tie with it.  A negative second field sorts before
-    every tree key ``(w, len(edges), edges, root)``, so a child is solved
-    (and its tree pushed under its real key) before any tree it could
-    precede, and the yield order is that of solving every child eagerly.
-    This holds for any key at or below the weight of the child's lightest
-    tree, so a child may be re-keyed under a sharper bound: it is still
-    solved before any tree it could precede, and if its bound lies past
-    the stop it is never solved at all.
+    Every heap entry but a tree waits unopened under a key ``(lb, tag)``:
+    lb bounds the weight of its trees from below, less ``WEIGHT_TIE_TOL``
+    so that float rounding never lets a tree overtake an entry that could
+    tie with it, and the negative tag sorts before every tree key
+    ``(w, len(edges), edges, root)``.  So an entry is opened (and its tree
+    pushed under its real key) before any tree it could precede, the yield
+    order is that of opening every entry eagerly, an entry may be re-keyed
+    under any sharper bound, and one bounded past the stop is never
+    opened.  A root r waits keyed ``(w(r) + d_r, -3)``, d_r its full-mask
+    weight in the base DP that every root shares (a root that DP does not
+    reach is never pushed); only a popped root has its tree extracted and
+    banned(r) (below) computed.  A child waits keyed ``(lb, -2)``, lb its
+    parent's weight, plus the forced edge's weight for an extension child.
 
-    A child keyed ``(lb, -2)`` that reaches the top is bounded once
-    (``_lower_bound``), then re-keyed ``(b, -1)`` if its bound b exceeds lb,
-    dropped if b is infinite, and solved otherwise; a child keyed ``-1`` is
-    solved when popped.  The bound needs the child's forced edges F to hang
-    from its root r: every source of F is r or a head of F.  Let
-    N = {r} + heads(F).  Every tree of the child holds F, which joins N to
-    r, and for each terminal t outside N a path from r to t; after its
-    last node a in N, that path leaves N by an edge (a, z) outside the
-    forbidden set, with z outside N, and goes on to t without F, whose
-    edges all end in N.  The edges of F and of each such path are
-    disjoint, and no weight is negative, so the tree weighs at least
+    Such a child that reaches the top is bounded once (``_lower_bound``),
+    then re-keyed ``(b, -1)`` if its bound b exceeds lb, dropped if b is
+    infinite, and solved otherwise; a child keyed ``-1`` is solved when
+    popped.  The bound needs the child's forced edges F to hang from its
+    root r: every source of F is r or a head of F.  Let N = {r} + heads(F).
+    Every tree of the child holds F, which joins N to r, and for each
+    terminal t outside N a path from r to t; after its last node a in N,
+    that path leaves N by an edge (a, z) outside the forbidden set, with z
+    outside N, and goes on to t without F, whose edges all end in N.  The
+    edges of F and of each such path are disjoint, and no weight is
+    negative, so the tree weighs at least
     w(r) + w(F) + max_t min_(a,z) [w(a, z) + d_t(z)], with d_t(z) z's
-    distance to t in the whole graph, which the base DP's single-terminal
-    masks hold.  A terminal with no such exit leaves the child empty, and
-    the bound infinite.  The bound is taken less ``WEIGHT_TIE_TOL``, like
-    every other key.  Children whose forced edges do not hang from the
-    root keep their parent's weight, and an extension child built without
-    a DP is keyed ``-1`` from the start, since its key is already its
-    weight.  An extension edge
-    whose head is already in the tree would give that node two parents, so
-    its child is never created; the edge is still forbidden to later
-    extension children, which keeps their constraint sets unchanged.
+    distance to t in the graph less its dead edges (below), which the base
+    DP's single-terminal masks hold.  A terminal with no such exit leaves
+    the child empty, and the bound infinite.  Children whose forced edges
+    do not hang from the root keep their parent's weight, and an extension
+    child built without a DP is keyed ``-1`` from the start, its key being
+    its weight.  An extension edge whose head is already in the tree would
+    give a node two parents, so its child is never created; the edge is
+    still forbidden to later extension children, which keeps their
+    constraint sets unchanged.
 
     An extension edge f that leaves the tree T (source in T, head not)
     needs no DP: T already covers the terminals, T + f is an arborescence
@@ -493,28 +476,30 @@ class _CandidateStream:
     the order and with the weight that the rule-free stream yields it.
 
     The clean rule (``_unclean_edge``): every isa edge's head has an
-    out-edge in the tree, and a terminal entered by an isa edge has a
-    causal one.  Its e = c->x is the first isa edge, in T's BFS order, that
-    breaks this; an out-edge of x qualifies if it is causal, or if x is not
-    a terminal, and for the qualifying g_1, g_2, ... of ``out_edges[x]``
-    the fixes are ({g_i}, {g_1 .. g_i-1}).  A dropped tree gives x no
-    qualifying out-edge, so either x is an observation it does not
-    cover, and the tree is never an explanation, or x is a non-terminal isa
-    leaf, and removing e leaves a tree with the same scenario and weight.
-    Two clean trees can still map to one scenario when isa routes join (an
-    isa diamond), which is why ``explain`` keeps its ``seen`` set.
+    out-edge in the tree, and a terminal entered by an isa edge has a causal
+    one.  Its e = c->x is the first isa edge, in T's BFS order, that breaks
+    this; an out-edge of x qualifies if it is causal, or if x is not a
+    terminal, and for the qualifying g_1, g_2, ... of ``out_edges[x]`` the
+    fixes are ({g_i}, {g_1 .. g_i-1}).  A dropped tree gives x no qualifying
+    out-edge, so either x is an observation it does not cover, and the tree
+    is never an explanation, or x is a non-terminal isa leaf, and removing e
+    leaves a tree with the same scenario and weight.  An isa edge c->x is
+    dead (``_dead``) when x has no qualifying out-edge in the graph: the
+    rule splits every tree holding it with no fix, into (F, X + e) alone.
+    That split is made up front: the base DP and every subspace forbid the
+    dead edges, so no popped tree holds one.  Two clean trees can still map
+    to one scenario when isa routes join (an isa diamond), which is why
+    ``explain`` keeps its ``seen`` set.
 
     The shadow rule is the method ``shadowed(r, x)``: the causal edges out
     of x that no tree rooted at r may hold where x is never a maximal
     participant (``scenario.shadowed_below``).  The stream caches it and
-    ``reachable`` per query, so each root's reachable events are walked
-    once.  For the proper isa ancestors x of r that is every tree, so their
-    edges, ``_banned(r)``, are r's initial forbidden keys.  A root whose
-    base tree uses one is not pushed; it waits as the child
-    (F = {}, X = banned(r)) under its base weight less ``WEIGHT_TIE_TOL``.
-    Every child keeps its parent's forbidden keys, so every subspace of r
-    forbids banned(r).  Elsewhere the rule holds for the trees that enter x
-    by an isa edge, which ``_shadowed_edge`` enforces: its e = x->y is the
+    ``reach`` per query.  For the proper isa ancestors x of r that is every
+    tree, so their edges, ``_banned(r)``, are forbidden in every subspace of
+    r: a popped root whose base tree uses one defers the child
+    (F = {}, X = banned(r)) under its own key instead, and every child
+    keeps its parent's forbidden keys.  Elsewhere the rule holds for the trees that enter x by
+    an isa edge, which ``_shadowed_edge`` enforces: its e = x->y is the
     first causal edge, in T's BFS order, whose source T enters by isa and
     which ``shadowed(r, x)`` names, and its one fix forbids x's isa
     in-edges.  A dropped tree holds e and enters x by isa, so it is never
@@ -537,8 +522,8 @@ class _CandidateStream:
     ):
         self.net = net
         self.g = g = build_search_graph(net)
-        self.reach = functools.cache(functools.partial(reachable, net))
-        self._below = functools.cache(functools.partial(shadowed_below, net, reach=self.reach))
+        self._reach: dict[str, frozenset[str]] = {}
+        self._below: dict[tuple[str, str], frozenset[EdgeKey]] = {}
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         _check_terminal_count(self.terminals)
@@ -547,31 +532,54 @@ class _CandidateStream:
         self._counter = itertools.count()
         self._heap: list[tuple] = []
         self._ext_cache: dict[str, tuple[EdgeKey, ...]] = {}
+        self._dead = self._dead_edges()
         base_table = DPTable()
-        base_problem = _Problem(g, frozenset(), {}, self.terminals, (), self.terminals)
+        base_problem = _Problem(g, self._dead, {}, self.terminals, (), self.terminals)
         by_mask = _run_dp(base_problem, base_table)
         if self.stats is not None:
             self.stats.absorb(base_table)
+        self._base = (base_problem, by_mask, base_table)
         # Each terminal's mask holds every node's distance to it.
         self._dist = [by_mask[1 << i] for i in range(len(self.terminals))]
         for r in sorted(set(roots)):
-            tree = _extract(base_problem, by_mask, base_table, r)
-            if tree is None:
-                continue
-            banned = self._banned(r)
-            if not banned.isdisjoint(tree.edges):
-                lb = self._root_weight(r) + tree.total_weight - WEIGHT_TIE_TOL
-                self._defer(lb, r, frozenset(), banned)
-            else:
-                self._push(r, frozenset(), banned, tree)
+            w = by_mask[-1].get(r) if self.terminals else 0.0
+            if w is not None:
+                lb = self._root_weight(r) + w - WEIGHT_TIE_TOL
+                heapq.heappush(self._heap, ((lb, -3), next(self._counter), r, None, None, None))
 
     def _root_weight(self, root: str) -> float:
         return self.g.node_weight.get(root, 0.0)
 
+    def _dead_edges(self) -> frozenset[EdgeKey]:
+        """The isa edges that the clean rule splits with no fix."""
+        g, terms, causes = self.g, self._term_set, {k[0] for k in self.g.causal}
+        return frozenset(
+            k for k in g.weight if k not in g.causal and k[1] not in (causes if k[1] in terms else g.out_edges)
+        )
+
+    def _open(self, lb: float, root: str) -> None:
+        """Push root's base tree, or defer (F = {}, X = banned(root))."""
+        tree = _extract(*self._base, root)
+        forbidden = self._banned(root) | self._dead
+        if forbidden.isdisjoint(tree.edges):
+            self._push(root, frozenset(), forbidden, tree)
+        else:
+            self._defer(lb, root, frozenset(), forbidden)
+
+    def reach(self, root: str) -> frozenset[str]:
+        """The events root reaches, walked once per query."""
+        got = self._reach.get(root)
+        if got is None:
+            got = self._reach[root] = reachable(self.net, root)
+        return got
+
     def shadowed(self, root: str, x: str) -> frozenset[EdgeKey]:
         """The shadow rule: the causal edges out of x that no tree rooted at
         root holds where x is never a maximal participant."""
-        return self._below(root, x)
+        got = self._below.get((root, x))
+        if got is None:
+            got = self._below[root, x] = shadowed_below(self.net, root, x, self.reach)
+        return got
 
     def _banned(self, root: str) -> frozenset[EdgeKey]:
         """The rule edges out of root's proper isa ancestors, which every
@@ -664,6 +672,9 @@ class _CandidateStream:
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap and self._heap[0][0][0] <= self.bound:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
+            if key[1] == -3:
+                self._open(key[0], root)
+                continue
             if key[1] == -2:
                 lb = self._lower_bound(root, forced, forbidden)
                 if lb > key[0]:
@@ -750,7 +761,7 @@ def explain(
     through the distinguished root, as ``kb.multi_roots`` and the oracle
     take it.  Shadowed links are never offered.  Once k explanations are accepted,
     the stream stops past the k-th lightest of their weights (plus
-    ``WEIGHT_TIE_TOL``), so no child bounded past it is solved.
+    ``WEIGHT_TIE_TOL``), so no root or child bounded past it is opened.
     Fewer than k results are returned when fewer explanations exist.
     """
     obs = check_query(net, observations, k)

@@ -966,16 +966,29 @@ class TestEmptyChildren:
             assert steiner_dp(g, root, terminals, forced, forbidden)[0] is None
 
 
-def _distances_to(g, t):
-    """Every node's distance to t in g, by a reverse Dijkstra of its own."""
+def _dead_isa_edges(g, terminals):
+    """The isa edges c->x where x has no causal out-edge (x a terminal) or
+    no out-edge at all (x not a terminal), from the graph's edge list."""
+    sources = {a for a, _ in g.weight}
+    causes = {a for a, _ in g.causal}
+    return {
+        (c, x)
+        for c, x in g.weight
+        if (c, x) not in g.causal and x not in (causes if x in terminals else sources)
+    }
+
+
+def _distances_to(g, t, skip=frozenset()):
+    """Every node's distance to t in g without the skip edges, by a reverse
+    Dijkstra of its own."""
     dist = {t: 0.0}
     heap = [(0.0, t)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for w, u, _ in g.in_edges.get(v, ()):
-            if d + w < dist.get(u, math.inf):
+        for w, u, k in g.in_edges.get(v, ()):
+            if k not in skip and d + w < dist.get(u, math.inf):
                 dist[u] = d + w
                 heapq.heappush(heap, (d + w, u))
     return dist
@@ -983,17 +996,19 @@ def _distances_to(g, t):
 
 def _reference_bound(g, root, terminals, forced, forbidden):
     """The child bound of the ``_CandidateStream`` docstring, from the
-    graph's edge list and fresh distances."""
+    graph's edge list and fresh distances in the graph without the query's
+    dead isa edges."""
     inside = {root} | {dst for _, dst in forced}
     if any(src not in inside for src, _ in forced):
         return -math.inf
     exits = [
         (w, z) for (a, z), w in g.weight.items() if a in inside and z not in inside and (a, z) not in forbidden
     ]
+    dead = _dead_isa_edges(g, terminals)
     far = 0.0
     for t in terminals:
         if t not in inside:
-            dist = _distances_to(g, t)
+            dist = _distances_to(g, t, dead)
             far = max(far, min((w + dist[z] for w, z in exits if z in dist), default=math.inf))
     return g.node_weight.get(root, 0.0) + math.fsum(g.weight[k] for k in forced) + far - WEIGHT_TIE_TOL
 
@@ -1071,6 +1086,76 @@ class TestChildBounds:
         got = explain(net, ["e9999"], k=1)
         assert time.perf_counter() - start < 2.0
         assert [len(r.scenario.causations) for r in got] == sizes
+
+
+class _Undead(_CandidateStream):
+    """The stream with no isa edge forbidden up front: the clean rule
+    splits every popped tree that holds a dead one."""
+
+    def _dead_edges(self):
+        return frozenset()
+
+
+class TestUpFront:
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_dead_edges_change_no_yield(self, family, multi):
+        # Forbidding the dead isa edges in every subspace is the clean
+        # rule's split of a tree that holds one, applied before any tree
+        # is popped: the stream yields what the one that splits them later
+        # yields (its first 200 trees; dense streams run to many thousands).
+        dead = yields = 0
+        for net, obs in family_queries(family, count=150):
+            work, roots = multi_roots(net) if multi else (net, net.disorders)
+            if not obs or not roots:
+                continue
+            stream = _CandidateStream(work, roots, obs)
+            for e in sorted(stream.g.weight.keys() - stream.g.causal):
+                split = stream._unclean_edge(e[0], SteinerTree(e[0], (e,), frozenset(obs), 0.0))
+                assert split[0] == e
+                assert (split[1] == []) == (e in stream._dead)
+            assert stream._dead == _dead_isa_edges(stream.g, frozenset(obs))
+            got = [(w, root, tree.edges) for w, root, tree in itertools.islice(stream, 200)]
+            undead = itertools.islice(_Undead(work, roots, obs), 200)
+            assert got == [(w, root, tree.edges) for w, root, tree in undead]
+            dead += len(stream._dead)
+            yields += len(got)
+        assert dead and yields
+
+    def test_a_root_past_the_answer_is_never_opened(self, monkeypatch):
+        # Each root waits unopened under its prior weight plus its base DP
+        # weight.  At k=1 the stream stops at d's tree before it pops c:
+        # c's tree is never extracted and its banned links (out of its isa
+        # ancestor a) are never computed.  At k=2 c is opened.
+        net = parse_network(
+            "event d prior=0.5 disorder\nevent c prior=0.01 disorder\nevent a\nevent o\n"
+            "isa c a\ncause d o p=0.9\ncause c o p=0.5\ncause a o p=0.9\n"
+        )
+        extracted, shadowed = [], []
+        extract = abducer.solver._extract
+
+        def recording_extract(problem, by_mask, table, root):
+            extracted.append(root)
+            return extract(problem, by_mask, table, root)
+
+        class Recording(_CandidateStream):
+            def shadowed(self, root, x):
+                shadowed.append(root)
+                return super().shadowed(root, x)
+
+        monkeypatch.setattr(abducer.solver, "_extract", recording_extract)
+        monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
+        got = explain(net, ["o"], k=1)
+        assert [r.scenario for r in got] == [Scenario.make("d", [("d", "o")])]
+        assert "c" not in extracted + shadowed
+        got = explain(net, ["o"], k=2)
+        assert [r.scenario.culprit for r in got] == ["d", "c"]
+        assert "c" in extracted and "c" in shadowed
+        # With no roots and no terminals the stream still builds, and the
+        # rule tests reach _banned through it.
+        rule = _rule(net)
+        assert list(rule) == []
+        assert rule._banned("c") == {("a", "o")}
 
 
 class TestDenseProperties:
