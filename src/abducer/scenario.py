@@ -4,6 +4,9 @@ A scenario pairs a culprit event with a set of causal links.  It is valid
 when the links can be attached one at a time: each link ``x -> y`` must hang
 off a maximally specific current participant ``p`` that specializes ``x``,
 and the attachment must not be preempted by a more specific alternative.
+``is_valid_scenario`` decides this by one depth-first search that tries the
+attachable links, sorted, each at its attach points, sorted; a hint (such
+as the tree order ``explain`` passes) only chooses the first descent.
 
 Preemption is resolved at the link level.  Attaching ``x -> y`` at ``p`` is
 preempted when the network offers another link ``u -> w`` with ``u`` strictly
@@ -54,7 +57,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from itertools import repeat, starmap
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from .errors import (
     InvalidScenarioError,
@@ -134,7 +138,7 @@ def participants(net: CausalNetwork, s: Scenario) -> frozenset[EventId]:
 def preempting_alternative(
     net: CausalNetwork,
     placed: AbstractSet[Link],
-    caused: frozenset[EventId],
+    caused: AbstractSet[EventId],
     p: EventId,
     x: EventId,
     y: EventId,
@@ -168,7 +172,7 @@ def preempting_alternative(
 def _open_alternative(
     net: CausalNetwork,
     placed: AbstractSet[Link],
-    caused: frozenset[EventId],
+    caused: AbstractSet[EventId],
     climb: list[EventId],
     judged: dict[Link, Link | None],
     link: Link,
@@ -251,184 +255,140 @@ def is_valid_scenario(
 ) -> ValidityResult:
     """Decide scenario validity and produce a certificate or a reason.
 
-    The search looks for some order in which all links attach; the verdict
-    does not depend on the order tried (``_shuffle`` randomizes exploration
-    for exactly that property test).
+    Each level of the search tries the attachable unplaced links, sorted,
+    each at its attach points, sorted, listed lazily from the maximal
+    participants kept as events join and leave: on an isa-free chain the
+    search is linear.  An option stands unless ``preempting_alternative``
+    names a blocker (none exists at ``p == x``: no cause lies strictly
+    between), and a placement whose every continuation fails is not
+    entered again.  The verdict does not depend on the order tried
+    (``_shuffle`` shuffles each level for exactly that property test); the
+    reason is the first failure met.
 
-    ``order`` is an optional hint: an order of s's links to try first
-    (``explain`` passes its tree's causal edges in BFS order).  Each link
-    ``x -> y`` in turn attaches at x itself when x is a maximal
-    participant, where nothing can preempt it (an alternative's cause
-    would lie on x's climb below x), and otherwise at the first maximal
-    participant below x that ``preempting_alternative`` clears.  Every step is then legal, so
-    if every link attaches the scenario is valid, with those steps as its
-    certificate, and no search runs.  If some link cannot attach, or the
-    hint is not an order of s's links, the search decides as without a
-    hint, so a hint changes at most the certificate of a valid scenario.
-    The hinted pass tracks the maximal participants as events join, so
-    it costs one step per link plus each participant's climb and, for a
-    link whose cause is no maximal participant, a look at each maximal
-    one: on an isa-free chain it is linear where the search is quadratic.
+    ``order`` is an optional hint, an order of s's links (``explain``
+    passes its tree's causal edges in BFS order).  The first descent takes
+    the hint's next link at its first clearing attach point; if it places
+    every link, its steps are the certificate.  Otherwise, or if the hint
+    is no order of s's links, the search starts over without it.
     """
     if not net.has_event(s.culprit):
         raise UnknownEventError(f"unknown event: {s.culprit}")
-    if order is not None:
-        steps = _attach_in_order(net, s, order)
-        if steps is not None:
-            return ValidityResult(True, ValidityCertificate(steps))
-    links = s.sorted_causations
-    for x, y in links:
-        if not net.is_link(x, y):
-            raise UnknownLinkError(f"no causal link {x}->{y}")
-
-    effects: dict[EventId, Link] = {}
-    for link in links:
-        if link[1] in effects:
-            return ValidityResult(False, reason=f"effect {link[1]} caused by more than one link")
-        effects[link[1]] = link
-    if s.culprit in effects:
+    links = s.causations
+    if not all(starmap(net.is_link, links)):
+        x, y = min(link for link in links if not net.is_link(*link))
+        raise UnknownLinkError(f"no causal link {x}->{y}")
+    caused = {y for _, y in links}
+    if len(caused) < len(links):
+        seen: set[EventId] = set()
+        for _, y in s.sorted_causations:
+            if y in seen:
+                return ValidityResult(False, reason=f"effect {y} caused by more than one link")
+            seen.add(y)
+    if s.culprit in caused:
         return ValidityResult(False, reason=f"culprit {s.culprit} appears as an effect")
     if not links:
         return ValidityResult(True, ValidityCertificate(()))
+    caused.add(s.culprit)
+    hint = None if order is None else list(order)
+    if hint is not None and (len(hint) != len(links) or set(hint) != links):
+        hint = None
 
-    caused = frozenset(effects) | {s.culprit}
-    total = len(links)
-    # Every participant the search can meet is an endpoint or the culprit,
-    # so the attach points of each link and the strictly-below relation
-    # are fixed once; a search level then costs O(unplaced links).
-    star = {p: net.isa_star(p) for p in sorted(caused.union([x for x, _ in links]))}
-    below: dict[EventId, list[EventId]] = {}
-    for q, ups in star.items():
-        if len(ups) > 1:
-            for p in ups:
-                if p != q and p in star:
-                    below.setdefault(p, []).append(q)
-    attach = {link: [p for p, ups in star.items() if link[0] in ups] for link in links}
-    dead: set[frozenset[Link]] = set()
-    first_failure: list[str] = []
-
-    # The links placed so far, and how many of them (or the culprit role)
-    # make each event a participant; the search adds and removes one link
-    # at a time, and only a dead end is frozen into the memo.
+    # Each participant maps to the number of links placed before the one
+    # that brought it in (the culprit to -1), and ``cover[u]`` counts the
+    # participants strictly below u: the uncovered ones are maximal, and
+    # x's links can attach while x participates or is covered.  Only the
+    # search keeps ``frontier``, those links unplaced, and ``by_cause``.
     placed: set[Link] = set()
-    parts: dict[EventId, int] = {s.culprit: 1}
+    parts = {s.culprit: -1}
+    cover = dict.fromkeys(net.isa_star(s.culprit) - {s.culprit}, 1)
+    by_cause: dict[EventId, list[Link]] = {}
+    frontier: set[Link] = set()
 
-    def enter() -> list:
-        """A search frame: [(link, maximal participant) options, next index]."""
-        maximal: dict[EventId, bool] = {}
-        options: list[tuple[Link, EventId]] = []
-        for link in links:
-            if link in placed:
-                continue
-            for p in attach[link]:
-                if p in parts:
-                    m = maximal.get(p)
-                    if m is None:
-                        m = maximal[p] = p not in below or parts.keys().isdisjoint(below[p])
-                    if m:
-                        options.append((link, p))
-        if _shuffle is not None:
-            _shuffle.shuffle(options)
-        if not options and not first_failure:
-            missing = next(l for l in links if l not in placed)
-            first_failure.append(f"unattachable: no participant specializes {missing[0]}")
-        return [options, 0]
-
-    steps: list[AttachStep] = []
-    stack = [enter()]
-    while stack:
-        frame = stack[-1]
-        options, i = frame
-        while i < len(options):
-            link, p = options[i]
-            i += 1
-            x, y = link
-            blocker = preempting_alternative(net, placed, caused, p, x, y)
-            if blocker is not None:
-                if not first_failure:
-                    first_failure.append(f"preempted: {x}->{y} by {blocker[0]}->{blocker[1]}")
-                continue
-            if len(placed) + 1 == total:
-                steps.append(AttachStep(p, x, link, y))
-                return ValidityResult(True, ValidityCertificate(tuple(steps)))
+    def move(link: Link, up: bool) -> None:
+        """Place link (up) or take it back.  A cause's links switch in or out
+        of the frontier together: as it becomes attachable none is placed
+        (the cause would participate) or listed, and as it stops all are."""
+        if up:
             placed.add(link)
-            if dead and frozenset(placed) in dead:
-                placed.remove(link)
+            frontier.discard(link)
+        else:
+            placed.remove(link)
+            frontier.add(link)  # its cause participates until it leaves
+        i = len(placed) - up  # the links placed before this one
+        for v in link:
+            if (parts.setdefault(v, i) if up else parts[v]) != i:
+                continue  # v participates before and after
+            if not up:
+                del parts[v]
+            if v in by_cause and not cover.get(v):
+                frontier.symmetric_difference_update(by_cause[v])
+            ups = net.isa_star(v)
+            if len(ups) > 1:
+                for u in ups - {v}:
+                    c = cover[u] = cover.get(u, 0) + (1 if up else -1)
+                    if c == up and u not in parts and u in by_cause:
+                        frontier.symmetric_difference_update(by_cause[u])
+
+    def points(x: EventId) -> Iterable[EventId]:
+        """x's attach points: the maximal participants q with ``q isa* x``."""
+        if x in parts and not cover.get(x):
+            return (x,)
+        return sorted(q for q in parts if not cover.get(q) and x in net.isa_star(q))
+
+    def level() -> Iterator[tuple[Link, EventId]]:
+        """The options at the current placement, in the order tried."""
+        if hint is not None:
+            link = hint[len(placed)]
+            x = link[0]
+            if x in parts and not cover.get(x):  # the common case, kept cheap
+                return iter(((link, x),))
+            return zip(repeat(link), points(x))
+        if not by_cause:  # the search's first level: it alone keeps them
+            for link in links:
+                by_cause.setdefault(link[0], []).append(link)
+            frontier.clear()
+            frontier.update(link for link in links if link[0] in parts or cover.get(link[0]))
+        options = ((link, p) for link in sorted(frontier) for p in points(link[0]))
+        if _shuffle is not None:
+            options = list(options)
+            _shuffle.shuffle(options)
+        return iter(options)
+
+    reason: str | None = None
+    dead: set[frozenset[Link]] = set()
+    steps: list[AttachStep] = []
+    stack = [level()]
+    while stack:
+        for link, p in stack[-1]:
+            x, y = link
+            if p != x:
+                blocker = preempting_alternative(net, placed, caused, p, x, y)
+                if blocker is not None:
+                    if hint is None and reason is None:
+                        reason = f"preempted: {x}->{y} by {blocker[0]}->{blocker[1]}"
+                    continue
+            if dead and frozenset((*placed, link)) in dead:
                 continue
             steps.append(AttachStep(p, x, link, y))
-            for v in link:
-                parts[v] = parts.get(v, 0) + 1
-            frame[1] = i
-            stack.append(enter())
+            if len(steps) == len(links):
+                return ValidityResult(True, ValidityCertificate(tuple(steps)))
+            move(link, True)
+            stack.append(level())
             break
         else:
+            if hint is not None:  # its next link attaches nowhere: start over
+                hint = None
+                while steps:
+                    move(steps.pop().added_link, False)
+                stack = [level()]
+                continue
+            if reason is None:  # a level dies unexplained only if it had no options
+                reason = f"unattachable: no participant specializes {min(links - placed)[0]}"
             dead.add(frozenset(placed))
             stack.pop()
-            if stack:
-                link = steps.pop().added_link
-                placed.remove(link)
-                for v in link:
-                    parts[v] -= 1
-                    if not parts[v]:
-                        del parts[v]
-    reason = first_failure[0] if first_failure else "no attachment order exists"
+            if steps:
+                move(steps.pop().added_link, False)
     return ValidityResult(False, reason=reason)
-
-
-def _attach_in_order(
-    net: CausalNetwork, s: Scenario, order: Iterable[Link]
-) -> tuple[AttachStep, ...] | None:
-    """The steps that attach s's links in ``order``, as ``is_valid_scenario``
-    describes its hint, or None if one cannot attach or the order is not
-    an order of s's links (each a network link, no effect caused twice or
-    the culprit caused), which the search then reports.
-
-    The maximal participants are kept as each event joins: a newcomer is
-    maximal unless a participant already lies below it (``covered`` holds
-    every event strictly above a participant), and it covers its climb.
-    """
-    links = s.causations
-    culprit = s.culprit
-    caused = {y for _, y in links}
-    if len(caused) != len(links) or culprit in caused:
-        return None
-    caused.add(culprit)
-    placed: set[Link] = set()
-    parts = {culprit}
-    maximal = {culprit}
-    covered = set(net.isa_star(culprit)) - parts
-    steps: list[AttachStep] = []
-    for link in order:
-        x, y = link
-        if link not in links or link in placed or not net.is_link(x, y):
-            return None
-        if x in maximal:
-            p = x
-        else:
-            p = next(
-                (
-                    q
-                    for q in sorted(maximal)
-                    if x in net.isa_star(q)
-                    and preempting_alternative(net, placed, caused, q, x, y) is None
-                ),
-                None,
-            )
-            if p is None:
-                return None
-        steps.append(AttachStep(p, x, link, y))
-        placed.add(link)
-        for v in link:
-            if v not in parts:
-                parts.add(v)
-                if v not in covered:
-                    maximal.add(v)
-                ups = net.isa_star(v)
-                if len(ups) > 1:
-                    ups = ups - {v}
-                    covered |= ups
-                    maximal -= ups
-    return tuple(steps) if len(placed) == len(links) else None
 
 
 def is_explanation(net: CausalNetwork, s: Scenario, observations: Iterable[EventId]) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abducer import (
+    AbducerError,
     CausalLink,
     CausalNetwork,
     DuplicateDeclarationError,
@@ -25,6 +26,7 @@ from abducer import (
     add_top,
     isa_ancestors,
     parse_network,
+    parse_recognition_kb,
     serialize_network,
 )
 from abducer.kb import TOP_NAME, _ident
@@ -33,7 +35,7 @@ from abducer.scenario import AttachStep, RankedExplanation, Scenario, ValidityCe
 from abducer.solver import SteinerTree
 from abducer.synth import random_network
 
-from strategies import networks
+from strategies import networks, seeds
 
 
 def net_of(text: str) -> CausalNetwork:
@@ -468,6 +470,67 @@ class TestMalformedDocuments:
         with pytest.raises(DuplicateDeclarationError) as err:
             CausalNetwork([EventNode("a"), EventNode("b")], causal, isa)
         assert str(err.value) == message
+
+
+# Tokens a mutation may write: the words of both formats and ids good and
+# bad, or key=value forms with values in and out of range.
+MUTATION_WORDS = (
+    "event", "cause", "isa", "concept", "prop", "disorder", "=", "#", TOP_NAME, "fruit",
+    "apple", "n0", "n1", "9x", "é",
+)
+mutation_tokens = st.sampled_from(MUTATION_WORDS) | st.builds(
+    "{}={}".format,
+    st.sampled_from(["p", "prior", "count", "color", "taste", ""]),
+    st.sampled_from(["0", "1", "0.25", "2", "-3", "x", "nan", "inf", "1e-400", "1.5", "", "a=b"]),
+)
+# (kind, line, token position, token); positions wrap around the document.
+mutations = st.tuples(
+    st.sampled_from(["drop", "duplicate", "replace", "append"]),
+    st.integers(0, 1_000),
+    st.integers(0, 1_000),
+    mutation_tokens,
+)
+
+
+def mutated(text: str, edits) -> str:
+    lines = text.splitlines()
+    for kind, i, j, tok in edits:
+        if not lines:
+            lines.append(tok)
+            continue
+        i %= len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "append":
+            lines[i] += " " + tok
+        else:
+            toks = lines[i].split() or [""]
+            toks[j % len(toks)] = tok
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedDocuments:
+    """Documents of either format, mutated line by line, get an answer or
+    an AbducerError from both parsers; TestMalformedDocuments pins the
+    messages of a fixed list."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(seeds, st.booleans(), st.lists(mutations, min_size=1, max_size=4))
+    def test_parsers_answer_or_raise_a_typed_error(self, fruits_path, seed, rkb, edits):
+        if rkb:
+            base = fruits_path.read_text()
+        else:
+            rng = random.Random(seed)
+            base = serialize_network(random_network(rng, max_events=8, max_causal=10, max_isa=6))
+        text = mutated(base, edits)
+        for parse in (parse_network, parse_recognition_kb):
+            try:
+                parse(text)
+            except AbducerError:
+                pass
 
 
 ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
