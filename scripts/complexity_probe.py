@@ -17,11 +17,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-# Run from a checkout without installing: the package lives in ../src.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# Run from a checkout without installing: the package lives in ../src
+# and the seeded generators (synth) in ../tests.
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "tests")]
 
 from abducer import build_search_graph, steiner_dp
-from abducer.synth import (
+from synth import (
     COMPLEXITY_EDGES,
     COMPLEXITY_NODES,
     COMPLEXITY_ROOT,

@@ -335,31 +335,39 @@ def is_valid_scenario(
             return (x,)
         return sorted(q for q in parts if not cover.get(q) and x in net.isa_star(q))
 
-    def level() -> Iterator[tuple[Link, EventId]]:
-        """The options at the current placement, in the order tried."""
-        if hint is not None:
+    def level() -> tuple[Iterator[tuple[Link, EventId]], bool]:
+        """The options at the current placement, in the order tried, and
+        whether there may be more than one."""
+        if hint is not None:  # a failed hint starts over, so it records nothing
             link = hint[len(placed)]
             x = link[0]
             if x in parts and not cover.get(x):  # the common case, kept cheap
-                return iter(((link, x),))
-            return zip(repeat(link), points(x))
+                return iter(((link, x),)), False
+            return zip(repeat(link), points(x)), False
         if not by_cause:  # the search's first level: it alone keeps them
             for link in links:
                 by_cause.setdefault(link[0], []).append(link)
             frontier.clear()
             frontier.update(link for link in links if link[0] in parts or cover.get(link[0]))
-        options = ((link, p) for link in sorted(frontier) for p in points(link[0]))
+        ready = sorted(frontier)
+        options = ((link, p) for link in ready for p in points(link[0]))
+        if _shuffle is None and len(ready) > 1:
+            return options, True
+        options = list(options)
         if _shuffle is not None:
-            options = list(options)
             _shuffle.shuffle(options)
-        return iter(options)
+        return iter(options), len(options) > 1
 
+    # A dead placement is recorded only if some level on its path may list
+    # two options: otherwise no other order or attach point reaches it.
+    # Each stack entry is a level's options and whether it or a level
+    # below it may list two.
     reason: str | None = None
     dead: set[frozenset[Link]] = set()
     steps: list[AttachStep] = []
     stack = [level()]
     while stack:
-        for link, p in stack[-1]:
+        for link, p in stack[-1][0]:
             x, y = link
             if p != x:
                 blocker = preempting_alternative(net, placed, caused, p, x, y)
@@ -373,7 +381,8 @@ def is_valid_scenario(
             if len(steps) == len(links):
                 return ValidityResult(True, ValidityCertificate(tuple(steps)))
             move(link, True)
-            stack.append(level())
+            options, fork = level()
+            stack.append((options, fork or stack[-1][1]))
             break
         else:
             if hint is not None:  # its next link attaches nowhere: start over
@@ -384,8 +393,9 @@ def is_valid_scenario(
                 continue
             if reason is None:  # a level dies unexplained only if it had no options
                 reason = f"unattachable: no participant specializes {min(links - placed)[0]}"
-            dead.add(frozenset(placed))
             stack.pop()
+            if stack and stack[-1][1]:
+                dead.add(frozenset(placed))
             if steps:
                 move(steps.pop().added_link, False)
     return ValidityResult(False, reason=reason)

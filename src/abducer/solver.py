@@ -122,23 +122,55 @@ root-down BFS order, the format ``steiner_dp`` takes its constraints in."""
 
 
 class DPTable:
-    """Lazily allocated DP backpointers, one dict per terminal bitmask:
+    """One Steiner DP: its constraints, and once ``_run_dp`` has filled it,
+    one distance dict and one backpointer dict per terminal bitmask.
+
+    Each forced chain is contracted into its top: ``super_of`` maps the
+    chain's other members to it, and every other node is its own super
+    node.  A super node's in-edges are filtered from the graph's on first
+    use: forbidden edges and edges from its own component are dropped, and
+    only the first (lightest) edge from each super source is kept.
+    ``dist[mask][v]`` is v's weight over the terminal nodes in mask, and
     ``backs[mask][v]`` is None for a base entry, the submask s of a merge
-    of s and mask ^ s, or ``(next, key)`` for an edge.  The weights live
-    in the per-mask distance dicts the DP returns."""
+    of s and mask ^ s, or ``(next, key)`` for an edge.
+    """
 
-    __slots__ = ("backs", "relaxations")
+    __slots__ = (
+        "g", "forbidden", "super_of", "term_nodes", "forced_edges", "terminals",
+        "in_adj", "dist", "backs", "relaxations",
+    )
 
-    def __init__(self) -> None:
-        self.backs: list[dict[str, object]] = []
+    def __init__(self, g, forbidden, super_of, term_nodes, forced_edges, terminals):
+        self.g = g
+        self.forbidden = forbidden
+        self.super_of = super_of
+        self.term_nodes = term_nodes
+        self.forced_edges = forced_edges
+        self.terminals = terminals
+        self.in_adj: dict[str, list[tuple[float, str, EdgeKey]]] = {}
+        self.dist: dict[int, dict[str, float]] = {}
+        self.backs: dict[int, dict[str, object]] = {}
         self.relaxations = 0
 
     @property
     def entry_count(self) -> int:
-        return sum(map(len, self.backs))
+        return sum(map(len, self.backs.values()))
 
     def touched_nodes(self) -> frozenset[str]:
-        return frozenset().union(*self.backs)
+        return frozenset().union(*self.backs.values())
+
+    def in_edges(self, v: str) -> list[tuple[float, str, EdgeKey]]:
+        """(weight, super source, key) for the edges into super node v."""
+        adj = self.in_adj.get(v)
+        if adj is None:
+            adj = self.in_adj[v] = []
+            seen = {v}
+            for w, src, k in self.g.in_edges.get(v, ()):
+                su = self.super_of.get(src, src)
+                if su not in seen and k not in self.forbidden:
+                    seen.add(su)
+                    adj.append((w, su, k))
+        return adj
 
 
 class SolveStats:
@@ -159,48 +191,15 @@ class SolveStats:
         self.touched_nodes |= table.touched_nodes()
 
 
-class _Problem:
-    """A steiner instance after forbidding/contraction preprocessing.
-
-    Each forced chain is contracted into its top: ``super_of`` maps the
-    chain's other members to it, and every other node is its own super
-    node.  A super node's in-edges are filtered from the graph's on first
-    use: forbidden edges and edges from its own component are dropped, and
-    only the first (lightest) edge from each super source is kept.
-    """
-
-    __slots__ = ("g", "forbidden", "super_of", "term_nodes", "forced_edges", "terminals", "in_adj")
-
-    def __init__(self, g, forbidden, super_of, term_nodes, forced_edges, terminals):
-        self.g = g
-        self.forbidden = forbidden
-        self.super_of = super_of
-        self.term_nodes = term_nodes
-        self.forced_edges = forced_edges
-        self.terminals = terminals
-        self.in_adj: dict[str, list[tuple[float, str, EdgeKey]]] = {}
-
-    def in_edges(self, v: str) -> list[tuple[float, str, EdgeKey]]:
-        """(weight, super source, key) for the edges into super node v."""
-        adj = self.in_adj.get(v)
-        if adj is None:
-            adj = self.in_adj[v] = []
-            seen = {v}
-            for w, src, k in self.g.in_edges.get(v, ()):
-                su = self.super_of.get(src, src)
-                if su not in seen and k not in self.forbidden:
-                    seen.add(su)
-                    adj.append((w, su, k))
-        return adj
-
-
 def _build_problem(
     g: WeightedSearchGraph,
     root: str,
     terminals: tuple[str, ...],
     forced_keys: frozenset[EdgeKey],
     forbidden_keys: frozenset[EdgeKey],
-) -> "_Problem | None":
+) -> DPTable | None:
+    """The unfilled table of a constrained instance, or None when the forced
+    edges give a node two parents, enter the root or close a cycle."""
     forced_edges = tuple(sorted(forced_keys))
 
     head_of: dict[str, str] = {}
@@ -231,63 +230,74 @@ def _build_problem(
     # terminal node; every forced prefix contracts into it.
     term_nodes = {super_of.get(t, t) for t in terminals} | set(super_of.values())
     term_nodes.discard(root)
-    return _Problem(g, forbidden_keys, super_of, tuple(sorted(term_nodes)), forced_edges, terminals)
+    return DPTable(g, forbidden_keys, super_of, tuple(sorted(term_nodes)), forced_edges, terminals)
 
 
-def _run_dp(problem: _Problem, table: DPTable) -> list[dict[str, float]]:
-    """Fill the bitmask DP; returns per-mask distance dicts."""
-    terms = problem.term_nodes
+def _run_dp(table: DPTable) -> None:
+    """Fill the bitmask DP: the single-terminal masks, then, if some node
+    lies in all of them, every other mask in increasing order.  Otherwise
+    no node reaches every terminal node, so no tree exists, and no other
+    mask is filled: a query that nothing explains never pays 3^t."""
+    terms = table.term_nodes
     nt = len(terms)
-    full = (1 << nt) - 1
-    by_mask: list[dict[str, float]] = [dict() for _ in range(full + 1)]
-    table.backs = backs_by_mask = [dict() for _ in range(full + 1)]
-    in_adj, in_edges = problem.in_adj, problem.in_edges
+    dists, backs_by_mask = table.dist, table.backs
+    for i, t in enumerate(terms):
+        dists[1 << i] = dist = {t: 0.0}
+        backs_by_mask[1 << i] = backs = {t: None}
+        table.relaxations += _settle(table, dist, backs)
+    if nt > 1 and not set(dists[1]).intersection(*(dists[1 << i] for i in range(1, nt))):
+        return
+
     inf = math.inf
     relaxations = 0
-
-    for mask in range(1, full + 1):
-        dist, backs = by_mask[mask], backs_by_mask[mask]
+    for mask in range(3, 1 << nt):
         if mask & (mask - 1) == 0:
-            t = terms[mask.bit_length() - 1]
-            dist[t] = 0.0
-            backs[t] = None
-        else:
-            low = mask & -mask
-            s1 = (mask - 1) & mask
-            while s1 > 0:
-                if s1 & low:
-                    s2 = mask ^ s1
-                    d1, d2 = by_mask[s1], by_mask[s2]
-                    relaxations += len(d1)
-                    for v, w1 in d1.items():
-                        w2 = d2.get(v)
-                        if w2 is None:
-                            continue
-                        cand = w1 + w2
-                        if cand < dist.get(v, inf):
-                            dist[v] = cand
-                            backs[v] = s1
-                s1 = (s1 - 1) & mask
-
-        heap = [(w, v) for v, w in dist.items()]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            # No weight is negative, so v is popped at dist[v] only once.
-            if d > dist[v]:
-                continue
-            es = in_adj.get(v)
-            if es is None:
-                es = in_edges(v)
-            relaxations += len(es)
-            for w, u, k in es:
-                nd = d + w
-                if nd < dist.get(u, inf):
-                    dist[u] = nd
-                    backs[u] = (v, k)
-                    heapq.heappush(heap, (nd, u))
+            continue
+        dists[mask] = dist = {}
+        backs_by_mask[mask] = backs = {}
+        low = mask & -mask
+        s1 = (mask - 1) & mask
+        while s1 > 0:
+            if s1 & low:
+                d1, d2 = dists[s1], dists[mask ^ s1]
+                relaxations += len(d1)
+                for v, w1 in d1.items():
+                    w2 = d2.get(v)
+                    if w2 is None:
+                        continue
+                    cand = w1 + w2
+                    if cand < dist.get(v, inf):
+                        dist[v] = cand
+                        backs[v] = s1
+            s1 = (s1 - 1) & mask
+        relaxations += _settle(table, dist, backs)
     table.relaxations += relaxations
-    return by_mask
+
+
+def _settle(table: DPTable, dist: dict[str, float], backs: dict[str, object]) -> int:
+    """Extend one mask's entries along in-edges, lightest first; returns
+    the number of edges relaxed."""
+    in_adj, in_edges = table.in_adj, table.in_edges
+    inf = math.inf
+    relaxations = 0
+    heap = [(w, v) for v, w in dist.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        # No weight is negative, so v is popped at dist[v] only once.
+        if d > dist[v]:
+            continue
+        es = in_adj.get(v)
+        if es is None:
+            es = in_edges(v)
+        relaxations += len(es)
+        for w, u, k in es:
+            nd = d + w
+            if nd < dist.get(u, inf):
+                dist[u] = nd
+                backs[u] = (v, k)
+                heapq.heappush(heap, (nd, u))
+    return relaxations
 
 
 def _canonicalize(
@@ -315,14 +325,12 @@ def _canonicalize(
     return tuple(chosen), weight
 
 
-def _extract(
-    problem: _Problem, by_mask: list[dict[str, float]], table: DPTable, root: str
-) -> SteinerTree | None:
+def _extract(table: DPTable, root: str) -> SteinerTree | None:
     # A root is never the head of a forced edge, so it is its own super node.
-    full = (1 << len(problem.term_nodes)) - 1
-    acc: set[EdgeKey] = set(problem.forced_edges)
+    full = (1 << len(table.term_nodes)) - 1
+    acc: set[EdgeKey] = set(table.forced_edges)
     if full:
-        if root not in by_mask[full]:
+        if root not in table.dist.get(full, ()):
             return None
         todo = [(root, full)]
         while todo:
@@ -333,8 +341,8 @@ def _extract(
             elif back is not None:
                 acc.add(back[1])
                 todo.append((back[0], mask))
-    edges, weight = _canonicalize(problem.g, root, acc, problem.terminals)
-    return SteinerTree(root, edges, frozenset(problem.terminals), weight)
+    edges, weight = _canonicalize(table.g, root, acc, table.terminals)
+    return SteinerTree(root, edges, frozenset(table.terminals), weight)
 
 
 def _check_terminal_count(terms: tuple[str, ...]) -> None:
@@ -373,12 +381,11 @@ def steiner_dp(
             if k in forbidden_keys:
                 raise InconsistentConstraintsError(f"edge {k[0]}->{k[1]} both forced and forbidden")
 
-    table = DPTable()
-    problem = _build_problem(g, root, terms, forced_keys, forbidden_keys)
-    if problem is None:
-        return None, table
-    by_mask = _run_dp(problem, table)
-    return _extract(problem, by_mask, table, root), table
+    table = _build_problem(g, root, terms, forced_keys, forbidden_keys)
+    if table is None:
+        return None, DPTable(g, forbidden_keys, {}, (), (), terms)
+    _run_dp(table)
+    return _extract(table, root), table
 
 
 def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
@@ -533,16 +540,15 @@ class _CandidateStream:
         self._heap: list[tuple] = []
         self._ext_cache: dict[str, tuple[EdgeKey, ...]] = {}
         self._dead = self._dead_edges()
-        base_table = DPTable()
-        base_problem = _Problem(g, self._dead, {}, self.terminals, (), self.terminals)
-        by_mask = _run_dp(base_problem, base_table)
+        self._base = base = DPTable(g, self._dead, {}, self.terminals, (), self.terminals)
+        _run_dp(base)
         if self.stats is not None:
-            self.stats.absorb(base_table)
-        self._base = (base_problem, by_mask, base_table)
+            self.stats.absorb(base)
         # Each terminal's mask holds every node's distance to it.
-        self._dist = [by_mask[1 << i] for i in range(len(self.terminals))]
+        self._dist = [base.dist[1 << i] for i in range(len(self.terminals))]
+        tops = base.dist.get((1 << len(self.terminals)) - 1, {})
         for r in sorted(set(roots)):
-            w = by_mask[-1].get(r) if self.terminals else 0.0
+            w = tops.get(r) if self.terminals else 0.0
             if w is not None:
                 lb = self._root_weight(r) + w - WEIGHT_TIE_TOL
                 heapq.heappush(self._heap, ((lb, -3), next(self._counter), r, None, None, None))
@@ -559,7 +565,7 @@ class _CandidateStream:
 
     def _open(self, lb: float, root: str) -> None:
         """Push root's base tree, or defer (F = {}, X = banned(root))."""
-        tree = _extract(*self._base, root)
+        tree = _extract(self._base, root)
         forbidden = self._banned(root) | self._dead
         if forbidden.isdisjoint(tree.edges):
             self._push(root, frozenset(), forbidden, tree)

@@ -1,15 +1,15 @@
 """Hypothesis strategies and seeded query families shared across the suite.
 
-Networks are drawn by seeding the package's own generators; shrinking
+Networks are drawn by seeding the generators in synth.py; shrinking
 then happens over the seed, which is crude but keeps the generator code
-in one place (synth) and the failures reproducible by seed.
+in one place and the failures reproducible by seed.
 """
 
 import random
 
 from hypothesis import strategies as st
 
-from abducer.synth import random_network, random_observations, random_taxonomy
+from synth import random_network, random_observations, random_taxonomy
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .kb import CausalLink, CausalNetwork, EventNode, IsaLink
-from .recognition import Concept, PropertySpec, RecognitionKB
+from abducer.kb import CausalLink, CausalNetwork, EventNode, IsaLink
+from abducer.recognition import Concept, PropertySpec, RecognitionKB
 
 
 def random_network(

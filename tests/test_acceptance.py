@@ -28,7 +28,8 @@ from abducer import (
 from abducer.kb import TOP_NAME
 from abducer.recognition import all_concept_ids
 from abducer.scenario import log_weight, probability
-from abducer.synth import (
+
+from synth import (
     COMPLEXITY_ROOT,
     COMPLEXITY_TERMINALS,
     LOCALITY_COMPONENT,

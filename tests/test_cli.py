@@ -18,9 +18,9 @@ import abducer.solver
 from abducer import cli
 from abducer.cli import main
 from abducer.kb import serialize_network
-from abducer.synth import two_disorder_network
 
 from conftest import SRC
+from synth import two_disorder_network
 
 
 @pytest.fixture()

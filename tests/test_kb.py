@@ -33,9 +33,9 @@ from abducer.kb import TOP_NAME, _ident
 from abducer.recognition import Concept, PropertySpec, RecognitionQuery, RecognitionResult
 from abducer.scenario import AttachStep, RankedExplanation, Scenario, ValidityCertificate, ValidityResult
 from abducer.solver import SteinerTree
-from abducer.synth import random_network
 
 from strategies import networks, seeds
+from synth import random_network
 
 
 def net_of(text: str) -> CausalNetwork:

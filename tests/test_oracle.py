@@ -31,9 +31,9 @@ from abducer.scenario import (
     raw_probability,
     structure_key,
 )
-from abducer.synth import two_disorder_network
 
 from strategies import tiny_networks
+from synth import two_disorder_network
 
 
 def links_of(s: Scenario):

@@ -31,9 +31,9 @@ from abducer.recognition import (
     value_node,
 )
 from abducer.kb import IsaLink
-from abducer.synth import random_taxonomy
 
 from strategies import taxonomies
+from synth import random_taxonomy
 
 
 def query(cset, descr):

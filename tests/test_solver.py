@@ -33,14 +33,14 @@ from abducer import (
 from abducer.kb import TOP_NAME, multi_roots
 from abducer.scenario import WEIGHT_TIE_TOL, log_weight, participants
 from abducer.solver import _build_problem, _canonicalize, _CandidateStream
-from abducer.synth import (
+
+from strategies import FAMILIES, family_queries, networks_with_observations, tiny_networks
+from synth import (
     complexity_network,
     random_network,
     random_observations,
     two_disorder_network,
 )
-
-from strategies import FAMILIES, family_queries, networks_with_observations, tiny_networks
 
 
 class TestSearchGraph:
@@ -833,6 +833,19 @@ class TestExplain:
             assert math.exp(-r.log_weight) == pytest.approx(r.probability, rel=1e-12)
 
     @pytest.mark.parametrize("multi", [False, True])
+    def test_twenty_observations_that_nothing_joins_answer_at_once(self, multi):
+        # No node reaches two of them, so only the single-terminal masks
+        # are filled.  Filling all 3^t submask pairs took 0.95 s at 14.
+        n = 20
+        net = parse_network(
+            "event d prior=0.5 disorder\nevent e\ncause d e p=0.5\n"
+            + "".join(f"event o{i}\n" for i in range(n))
+        )
+        start = time.perf_counter()
+        assert explain(net, [f"o{i}" for i in range(n)], k=1, multi=multi) == []
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("multi", [False, True])
     def test_too_many_observations_start_no_dp(self, monkeypatch, multi):
         # 21 distinct observations would need a base DP over 2**21 masks;
         # the stream refuses them before any DP starts.
@@ -1136,9 +1149,9 @@ class TestUpFront:
         extracted, shadowed = [], []
         extract = abducer.solver._extract
 
-        def recording_extract(problem, by_mask, table, root):
+        def recording_extract(table, root):
             extracted.append(root)
-            return extract(problem, by_mask, table, root)
+            return extract(table, root)
 
         class Recording(_CandidateStream):
             def shadowed(self, root, x):
