@@ -24,7 +24,6 @@ from .kb import CausalNetwork, parse_network
 # so that a cold start does not load typing for annotations alone.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .scenario import RankedExplanation
     from .solver import SolveStats
 
 
@@ -39,43 +38,30 @@ def _split_csv(raw: str, what: str) -> list[str]:
     return items
 
 
-def _result_row(r: RankedExplanation) -> dict:
-    return {
-        "rank": r.rank,
-        "culprit": r.scenario.culprit,
-        "causations": [[x, y] for x, y in r.scenario.sorted_causations],
-        "log_weight": r.log_weight,
-        "probability": r.probability,
-    }
+def _emit(
+    args: argparse.Namespace, query: dict, rows: list, lines: list, ms: float, stats: SolveStats | None
+) -> None:
+    """Print the --json payload of query and rows, or the text lines; with
+    --stats, the JSON gains a ``stats`` object and the text a stats line."""
+    if args.json:
+        import json
 
-
-def _dump_json(payload: dict) -> str:
-    import json
-
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _links_text(r: RankedExplanation) -> str:
-    pairs = [f"{x}->{y}" for x, y in r.scenario.sorted_causations]
-    return ",".join(pairs) if pairs else "-"
-
-
-def _stats_json(elapsed_ms: float, stats: SolveStats) -> dict:
-    """The --stats object of --json output."""
-    return {
-        "wall_ms": elapsed_ms,
-        "dp_runs": stats.dp_runs,
-        "relaxations": stats.relaxations,
-        "table_entries": stats.table_entries,
-    }
-
-
-def _stats_line(elapsed_ms: float, stats: SolveStats) -> str:
-    """The --stats line of text output."""
-    return (
-        f"stats: wall_ms={elapsed_ms:.1f} dp_runs={stats.dp_runs}"
-        f" relaxations={stats.relaxations} table_entries={stats.table_entries}"
-    )
+        payload = {"query": query, "results": rows}
+        if stats is not None:
+            payload["stats"] = {
+                "wall_ms": ms,
+                "dp_runs": stats.dp_runs,
+                "relaxations": stats.relaxations,
+                "table_entries": stats.table_entries,
+            }
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return
+    print("\n".join(lines))
+    if stats is not None:
+        print(
+            f"stats: wall_ms={ms:.1f} dp_runs={stats.dp_runs}"
+            f" relaxations={stats.relaxations} table_entries={stats.table_entries}"
+        )
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -110,30 +96,28 @@ def cmd_explain(args: argparse.Namespace) -> int:
         results = explain(net, obs, k=args.k, multi=args.multi, stats=stats)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    if args.json:
-        payload = {
-            "query": {
-                "observations": sorted(set(obs)),
-                "mode": "multi" if args.multi else "single",
-                "k": args.k,
-                "engine": "oracle" if args.oracle else "solver",
-            },
-            "results": [_result_row(r) for r in results],
-        }
-        if args.stats:
-            payload["stats"] = _stats_json(elapsed_ms, stats)
-        print(_dump_json(payload))
-    else:
-        for r in results:
-            print(
-                f"rank={r.rank} culprit={r.scenario.culprit} "
-                f"weight={r.log_weight:.6f} probability={r.probability:.6g} "
-                f"causations={_links_text(r)}"
-            )
-        if not results:
-            print("no explanation")
-        if args.stats:
-            print(_stats_line(elapsed_ms, stats))
+    rows, lines = [], []
+    for r in results:
+        culprit, links = r.scenario.culprit, r.scenario.sorted_causations
+        rows.append({
+            "rank": r.rank,
+            "culprit": culprit,
+            "causations": [[x, y] for x, y in links],
+            "log_weight": r.log_weight,
+            "probability": r.probability,
+        })
+        text = ",".join(f"{x}->{y}" for x, y in links) or "-"
+        lines.append(
+            f"rank={r.rank} culprit={culprit} weight={r.log_weight:.6f} "
+            f"probability={r.probability:.6g} causations={text}"
+        )
+    query = {
+        "observations": sorted(set(obs)),
+        "mode": "multi" if args.multi else "single",
+        "k": args.k,
+        "engine": "oracle" if args.oracle else "solver",
+    }
+    _emit(args, query, rows, lines or ["no explanation"], elapsed_ms, stats)
     return 0 if results else 1
 
 
@@ -163,47 +147,22 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rows = recognize(kb, RecognitionQuery.make(cset, descr))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    ranked = [r for r in rows if r.applicable]
-
-    if args.json:
-        out = []
-        rank = 0
-        for r in rows:
-            rec: dict = {"concept": r.concept, "applicable": r.applicable}
-            if r.applicable:
-                rank += 1
-                rec["rank"] = rank
-                rec["weight"] = r.weight
-                rec["score"] = float(r.score)  # type: ignore[arg-type]
-            else:
-                rec["reason"] = r.reason
-            out.append(rec)
-        payload = {
-            "query": {
-                "cset": sorted(set(cset)),
-                "descr": [[p, v] for p, v in sorted(set(descr))],
-            },
-            "results": out,
-        }
-        if args.stats:
-            payload["stats"] = _stats_json(elapsed_ms, stats)
-        print(_dump_json(payload))
-    else:
-        rank = 0
-        for r in rows:
-            if r.applicable:
-                rank += 1
-                print(
-                    f"rank={rank} concept={r.concept} "
-                    f"weight={r.weight:.6f} score={float(r.score):g}"  # type: ignore[arg-type]
-                )
-            else:
-                print(f"inapplicable concept={r.concept} reason={r.reason}")
-        if not rows:
-            print("no candidates")
-        if args.stats:
-            print(_stats_line(elapsed_ms, stats))
-    return 0 if ranked else 1
+    out, lines = [], []
+    rank = 0
+    for r in rows:
+        if r.applicable:
+            rank += 1
+            score = float(r.score)  # type: ignore[arg-type]
+            out.append(
+                {"concept": r.concept, "applicable": True, "rank": rank, "weight": r.weight, "score": score}
+            )
+            lines.append(f"rank={rank} concept={r.concept} weight={r.weight:.6f} score={score:g}")
+        else:
+            out.append({"concept": r.concept, "applicable": False, "reason": r.reason})
+            lines.append(f"inapplicable concept={r.concept} reason={r.reason}")
+    query = {"cset": sorted(set(cset)), "descr": [[p, v] for p, v in sorted(set(descr))]}
+    _emit(args, query, out, lines or ["no candidates"], elapsed_ms, stats)
+    return 0 if rank else 1
 
 
 def _dot_lines(net: CausalNetwork) -> list[str]:

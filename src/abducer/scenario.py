@@ -12,9 +12,11 @@ Preemption is resolved at the link level.  Attaching ``x -> y`` at ``p`` is
 preempted when the network offers another link ``u -> w`` with ``u`` strictly
 more specific than ``x`` on p's climb (``p isa* u isa* x``), ``w`` touching
 the attached pair, ``u -> w`` not already part of the scenario, and that
-alternative itself standing (recursively unpreempted at ``p``).  The
-recursion strictly descends the isa chain, so it always terminates, and it
-gives the usual reference-class behaviour: with ``d isa b isa a`` and links
+alternative itself standing (recursively unpreempted at ``p``).  Each
+alternative to a link leaves an event strictly more specific than the
+link's cause, so one sweep up p's climb, most specific event first,
+judges each link that matters once.  This gives the usual
+reference-class behaviour: with ``d isa b isa a`` and links
 ``a -> e``, ``b -> e``, only the most specific available link may carry the
 causation when attaching at ``d``.
 
@@ -66,7 +68,7 @@ from .errors import (
     UnknownEventError,
     UnknownLinkError,
 )
-from .kb import CausalNetwork, EventId
+from .kb import CausalNetwork, EventId, isa_ancestors
 
 Link = tuple[EventId, EventId]
 
@@ -147,93 +149,100 @@ def preempting_alternative(
 
     Candidates are network links ``u -> w`` with ``p isa* u isa* x``,
     ``u != x`` and ``w`` in {x, y}, skipping links already placed and
-    targets already caused.  A candidate only preempts if it is not itself
-    preempted by something yet more specific.  Every nested question keeps
-    ``p``, ``placed`` and ``caused``, so each candidate is judged once per
-    call: judged afresh, n isa levels with a link to y at each take 2**n
-    steps.  The questions nest once per isa level, so they wait on an
-    explicit stack: a candidate not yet judged is judged above the question
-    that met it, which then looks again.
+    targets already caused.  A candidate preempts only if it stands: no
+    candidate against it stands, where the candidates against ``u -> w``
+    are the unplaced links ``u' -> w`` and, while u is not caused,
+    ``u' -> u``, with ``p isa* u' isa+ u``.  Each of them leaves an event
+    strictly more specific than u, so one sweep over the events between p
+    and x, most specific first, judges every relevant link once.  The
+    answer is the first standing candidate in name order, ``u -> y``
+    before ``u -> x``.
     """
-    climb = sorted(net.isa_star(p))
-    judged: dict[Link, Link | None] = {}
-    stack = [(x, y)]
-    while True:
-        alt = _open_alternative(net, placed, caused, climb, judged, stack[-1])
-        if alt is not None and alt not in judged:
-            stack.append(alt)
-            continue
-        link = stack.pop()
-        if not stack:
-            return alt
-        judged[link] = alt
-
-
-def _open_alternative(
-    net: CausalNetwork,
-    placed: AbstractSet[Link],
-    caused: AbstractSet[EventId],
-    climb: list[EventId],
-    judged: dict[Link, Link | None],
-    link: Link,
-) -> Link | None:
-    """The first candidate against link, at the attach point whose sorted
-    climb is ``climb``, that stands or is not in ``judged`` yet."""
-    x, y = link
-    for u in climb:
-        if u == x or x not in net.isa_star(u):
-            continue
-        for w in (y, x):
-            alt = (u, w)
-            if alt == link or alt in placed or not net.is_link(u, w):
+    # A depth-first walk up from p lists the events between p and x most
+    # general first; it skips isa_star(x), where nothing specializes x.
+    above = net.isa_star(x)
+    between = {x}
+    order: list[EventId] = []
+    walk = [(p, iter(net.parents_of(p)))]
+    seen = {p}
+    while walk:
+        v, ups = walk[-1]
+        for q in ups:
+            if q not in seen and q not in above:
+                seen.add(q)
+                walk.append((q, iter(net.parents_of(q))))
+                break
+        else:
+            walk.pop()
+            if not between.isdisjoint(net.parents_of(v)):
+                between.add(v)
+                order.append(v)
+    # standing[w]: the sources of the standing links into w swept so far.
+    standing: dict[EventId, list[EventId]] = {}
+    for u in reversed(order):
+        for w in net.effects_of(u):
+            if (w != y and w not in between) or (u, w) in placed:
                 continue
-            if w != y and w in caused:
+            if any(u in net.isa_star(s) for s in standing.get(w, ())):
                 continue
-            if judged.get(alt) is None:
-                return alt
-    return None
+            if u not in caused and any(u in net.isa_star(s) for s in standing.get(u, ())):
+                continue
+            standing.setdefault(w, []).append(u)
+    alts = [(u, y) for u in standing.get(y, ())]
+    if x not in caused:
+        alts += [(u, x) for u in standing.get(x, ())]
+    return min(alts, key=lambda alt: (alt[0], alt[1] != y)) if alts else None
 
 
-def _shadowed_at(net: CausalNetwork, p: EventId, x: EventId, y: EventId) -> bool:
-    """Some u with ``p isa* u isa+ x`` has a link u -> y that nothing more
-    specific on p's climb can preempt."""
-    climb = net.isa_star(p)
-    for u in climb:
-        if u == x or x not in net.isa_star(u) or not net.is_link(u, y):
-            continue
-        if not any(
-            v != u and u in net.isa_star(v) and (net.is_link(v, y) or net.is_link(v, u))
-            for v in climb
-        ):
-            return True
-    return False
+def covered_below(net: CausalNetwork, p: EventId) -> dict[EventId, set[EventId]]:
+    """For each proper isa ancestor x of p, the ys that some u with
+    ``p isa* u isa+ x`` has a clear link to: no u' with ``p isa* u' isa+ u``
+    has a link u' -> y or u' -> u.
+
+    One pass up p's climb, most specific first: each event hands its
+    parents the targets of the links from it and below it, and the ys of
+    the clear links from below it and from it.
+    """
+    into: dict[EventId, set[EventId]] = {}
+    clear: dict[EventId, set[EventId]] = {}
+    for v in isa_ancestors(net, p):
+        ys = net.effects_of(v)
+        below = into.get(v, ())
+        ok = clear.get(v, ())
+        if ys and v not in below:
+            ok = {*ok, *(y for y in ys if y not in below)}
+        below = {*below, *ys}
+        for q in net.parents_of(v):
+            into.setdefault(q, set()).update(below)
+            clear.setdefault(q, set()).update(ok)
+    return clear
 
 
 def shadowed_below(
     net: CausalNetwork,
     root: EventId,
     x: EventId,
-    reach: Callable[[EventId], frozenset[EventId]],
+    covered: Callable[[EventId], dict[EventId, set[EventId]]],
+    off_climb: Callable[[EventId], frozenset[EventId]],
 ) -> frozenset[Link]:
     """The links x -> y shadowed below root (see the module docstring).
 
-    ``reach(root)`` gives the events root reaches (``reachable``, cached
-    by the caller); it is asked only once some link passes the test at
-    root itself or x is off root's climb.
+    ``covered(p)`` gives ``covered_below(net, p)``, and ``off_climb(root)``
+    the events root reaches that are not on its isa climb, both cached by
+    the caller; the second is asked only once some link passes the test
+    at root itself or x is off root's climb.
     """
     if x == root:
         # The culprit is always maximal, so the rule never covers its links.
         return frozenset()
-    climb = net.isa_star(root)
-    ys = net.effects_of(x)
-    if x in climb:
-        ys = [y for y in ys if _shadowed_at(net, root, x, y)]
-    if ys:
-        for p in reach(root):
-            if p != x and p not in climb and x in net.isa_star(p):
-                ys = [y for y in ys if _shadowed_at(net, p, x, y)]
-                if not ys:
-                    break
+    ys = set(net.effects_of(x))
+    if x in net.isa_star(root):
+        ys &= covered(root)[x]
+    for p in off_climb(root) if ys else ():
+        if p != x and x in net.isa_star(p):
+            ys &= covered(p)[x]
+            if not ys:
+                break
     return frozenset((x, y) for y in ys)
 
 

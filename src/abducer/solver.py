@@ -56,6 +56,7 @@ from .scenario import (
     RankedExplanation,
     Scenario,
     check_query,
+    covered_below,
     is_valid_scenario,
     log_weight,
     order_and_rank,
@@ -500,17 +501,18 @@ class _CandidateStream:
 
     The shadow rule is the method ``shadowed(r, x)``: the causal edges out
     of x that no tree rooted at r may hold where x is never a maximal
-    participant (``scenario.shadowed_below``).  The stream caches it and
-    ``reach`` per query.  For the proper isa ancestors x of r that is every
-    tree, so their edges, ``_banned(r)``, are forbidden in every subspace of
-    r: a popped root whose base tree uses one defers the child
-    (F = {}, X = banned(r)) under its own key instead, and every child
-    keeps its parent's forbidden keys.  Elsewhere the rule holds for the trees that enter x by
-    an isa edge, which ``_shadowed_edge`` enforces: its e = x->y is the
-    first causal edge, in T's BFS order, whose source T enters by isa and
-    which ``shadowed(r, x)`` names, and its one fix forbids x's isa
-    in-edges.  A dropped tree holds e and enters x by isa, so it is never
-    valid.  On r's climb e would be banned, so there it never fires.
+    participant (``scenario.shadowed_below``).  The stream caches it,
+    ``reach``, ``off_climb`` and ``covered`` per query.  For the proper isa
+    ancestors x of r that is every tree, so their edges, ``_banned(r)``, are
+    forbidden in every subspace of r: a popped root whose base tree uses
+    one defers the child (F = {}, X = banned(r)) under its own key instead,
+    and every child keeps its parent's forbidden keys.  Elsewhere the rule
+    holds for the trees that enter x by an isa edge, which
+    ``_shadowed_edge`` enforces: its e = x->y is the first causal edge, in
+    T's BFS order, whose source T enters by isa and which ``shadowed(r, x)``
+    names, and its one fix forbids x's isa in-edges.  A dropped tree holds
+    e and enters x by isa, so it is never valid.  On r's climb e would be
+    banned, so there it never fires.
 
     A yielded tree's children that provably hold no tree are never
     deferred (``_partition``): the exclusion child of an edge that every
@@ -530,6 +532,8 @@ class _CandidateStream:
         self.net = net
         self.g = g = build_search_graph(net)
         self._reach: dict[str, frozenset[str]] = {}
+        self._off: dict[str, frozenset[str]] = {}
+        self._covered: dict[str, dict[str, set[str]]] = {}
         self._below: dict[tuple[str, str], frozenset[EdgeKey]] = {}
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
@@ -579,12 +583,27 @@ class _CandidateStream:
             got = self._reach[root] = reachable(self.net, root)
         return got
 
+    def off_climb(self, root: str) -> frozenset[str]:
+        """The events root reaches off its own isa climb."""
+        got = self._off.get(root)
+        if got is None:
+            got = self._off[root] = self.reach(root) - self.net.isa_star(root)
+        return got
+
+    def covered(self, p: str) -> dict[str, set[str]]:
+        """``scenario.covered_below`` at p, computed once per query."""
+        got = self._covered.get(p)
+        if got is None:
+            got = self._covered[p] = covered_below(self.net, p)
+        return got
+
     def shadowed(self, root: str, x: str) -> frozenset[EdgeKey]:
         """The shadow rule: the causal edges out of x that no tree rooted at
         root holds where x is never a maximal participant."""
         got = self._below.get((root, x))
         if got is None:
-            got = self._below[root, x] = shadowed_below(self.net, root, x, self.reach)
+            got = shadowed_below(self.net, root, x, self.covered, self.off_climb)
+            self._below[root, x] = got
         return got
 
     def _banned(self, root: str) -> frozenset[EdgeKey]:
