@@ -8,7 +8,6 @@ scenarios drawn from the network are trees.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from collections import namedtuple
 from operator import itemgetter
@@ -350,30 +349,32 @@ def serialize_network(net: CausalNetwork) -> str:
 # -- derived constructions ------------------------------------------------
 
 
-def isa_ancestors(net: CausalNetwork, e: EventId) -> list[EventId]:
-    """Ancestors of e (e included), most specific first.
+def isa_postorder(net: CausalNetwork, e: EventId, skip: frozenset[EventId] = frozenset()) -> list[EventId]:
+    """The events a depth-first walk reaches from e by isa steps, never
+    entering skip, in postorder: every event comes after its parents, and
+    e last."""
+    order: list[EventId] = []
+    walk = [(e, iter(net.parents_of(e)))]
+    seen = {e, *skip}
+    while walk:
+        v, ups = walk[-1]
+        for q in ups:
+            if q not in seen:
+                seen.add(q)
+                walk.append((q, iter(net.parents_of(q))))
+                break
+        else:
+            walk.pop()
+            order.append(v)
+    return order
 
-    The order is a topological sort of the ancestor sub-DAG under isa,
-    with name order breaking ties, so e always comes first.
-    """
-    anc = net.isa_star(e)
-    indeg = {v: 0 for v in anc}
-    for v in anc:
-        for p in net.parents_of(v):
-            if p in anc:
-                indeg[p] += 1
-    ready = [v for v in anc if indeg[v] == 0]
-    heapq.heapify(ready)
-    out: list[EventId] = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for p in net.parents_of(v):
-            if p in anc:
-                indeg[p] -= 1
-                if indeg[p] == 0:
-                    heapq.heappush(ready, p)
-    return out
+
+def isa_ancestors(net: CausalNetwork, e: EventId) -> list[EventId]:
+    """Ancestors of e (e included), most specific first: a topological
+    order of the ancestor sub-DAG under isa, so e always comes first."""
+    if not net.has_event(e):
+        raise UnknownEventError(f"unknown event: {e}")
+    return isa_postorder(net, e)[::-1]
 
 
 def add_top(net: CausalNetwork) -> CausalNetwork:

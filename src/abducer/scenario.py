@@ -28,10 +28,13 @@ graph, which the solver relies on.
 Some links can be ruled out per culprit before any scenario is built.  The
 attach points of ``x`` below ``r`` are the events ``p != x`` with
 ``p isa* x`` that ``r`` reaches through the cause+isa union and that are no
-proper isa ancestor of ``r``.  A link ``x -> y`` is shadowed below ``r``
-(``shadowed_below``) when at every attach point ``p`` some ``u`` with
+proper isa ancestor of ``r``: ``r`` itself and the events it reaches off
+its isa climb.  A link ``x -> y`` is shadowed below ``r`` when at every
+attach point ``p`` (vacuously, if ``x`` has none) some ``u`` with
 ``p isa* u isa+ x`` has a link ``u -> y``, and no ``u'`` with
 ``p isa* u' isa+ u`` has a link ``u' -> y`` or ``u' -> u``.
+``shadow_table`` lists these links for every ``x`` with an attach point,
+from one pass up each attach point's climb (``covered_below``).
 
 No valid scenario rooted at ``r`` holds a shadowed ``x -> y`` in which ``x``
 is never a maximally specific participant.  Every participant descends
@@ -45,13 +48,16 @@ already placed, because then ``y`` would be caused twice, which
 ``preempting_alternative`` returns ``u -> y`` or an earlier alternative.
 
 ``x`` is never maximal in two cases.  (a) ``x`` is a proper isa ancestor of
-``r``, which stays a participant below it, so no valid scenario rooted at
-``r`` holds one of these links; the search forbids them from the start.
-(b) ``x`` is neither the culprit nor an effect, as in every scenario of a
-tree that enters ``x`` by an isa edge.  Then ``x`` joins the participants
+``r``, which stays a participant below it.  (b) ``x`` is neither the
+culprit nor an effect: in every scenario of a tree that enters ``x`` by
+an isa edge, and in every scenario rooted at ``r != x`` when no causal
+link of the network enters ``x``.  Then ``x`` joins the participants
 only through its own out-links.  The first of them hangs off a strict
 specialization of ``x``, since ``x`` is no participant yet, and that
-specialization stays a participant below ``x``.
+specialization stays a participant below ``x``.  So no valid scenario
+rooted at ``r`` holds a shadowed link out of a proper isa ancestor of
+``r`` or out of an uncaused ``x != r``; the search forbids these from
+the start.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat, starmap
-from typing import AbstractSet, Callable, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import (
     InvalidScenarioError,
@@ -68,7 +74,7 @@ from .errors import (
     UnknownEventError,
     UnknownLinkError,
 )
-from .kb import CausalNetwork, EventId, isa_ancestors
+from .kb import CausalNetwork, EventId, isa_postorder
 
 Link = tuple[EventId, EventId]
 
@@ -158,25 +164,14 @@ def preempting_alternative(
     answer is the first standing candidate in name order, ``u -> y``
     before ``u -> x``.
     """
-    # A depth-first walk up from p lists the events between p and x most
-    # general first; it skips isa_star(x), where nothing specializes x.
-    above = net.isa_star(x)
+    # The walk up from p lists the events between p and x most general
+    # first; it skips isa_star(x), where nothing specializes x.
     between = {x}
     order: list[EventId] = []
-    walk = [(p, iter(net.parents_of(p)))]
-    seen = {p}
-    while walk:
-        v, ups = walk[-1]
-        for q in ups:
-            if q not in seen and q not in above:
-                seen.add(q)
-                walk.append((q, iter(net.parents_of(q))))
-                break
-        else:
-            walk.pop()
-            if not between.isdisjoint(net.parents_of(v)):
-                between.add(v)
-                order.append(v)
+    for v in isa_postorder(net, p, net.isa_star(x)):
+        if not between.isdisjoint(net.parents_of(v)):
+            between.add(v)
+            order.append(v)
     # standing[w]: the sources of the standing links into w swept so far.
     standing: dict[EventId, list[EventId]] = {}
     for u in reversed(order):
@@ -205,7 +200,7 @@ def covered_below(net: CausalNetwork, p: EventId) -> dict[EventId, set[EventId]]
     """
     into: dict[EventId, set[EventId]] = {}
     clear: dict[EventId, set[EventId]] = {}
-    for v in isa_ancestors(net, p):
+    for v in reversed(isa_postorder(net, p)):
         ys = net.effects_of(v)
         below = into.get(v, ())
         ok = clear.get(v, ())
@@ -218,32 +213,23 @@ def covered_below(net: CausalNetwork, p: EventId) -> dict[EventId, set[EventId]]
     return clear
 
 
-def shadowed_below(
-    net: CausalNetwork,
-    root: EventId,
-    x: EventId,
-    covered: Callable[[EventId], dict[EventId, set[EventId]]],
-    off_climb: Callable[[EventId], frozenset[EventId]],
-) -> frozenset[Link]:
-    """The links x -> y shadowed below root (see the module docstring).
+def shadow_table(
+    net: CausalNetwork, root: EventId, reach: AbstractSet[EventId]
+) -> dict[EventId, frozenset[Link]]:
+    """The links shadowed below root (see the module docstring): for each
+    event x that some attach point below root specializes, the links
+    x -> y shadowed there.
 
-    ``covered(p)`` gives ``covered_below(net, p)``, and ``off_climb(root)``
-    the events root reaches that are not on its isa climb, both cached by
-    the caller; the second is asked only once some link passes the test
-    at root itself or x is off root's climb.
+    ``reach`` holds the events root reaches.  Each attach point with an
+    isa parent gets one ``covered_below`` pass, whose entries narrow
+    the table's.
     """
-    if x == root:
-        # The culprit is always maximal, so the rule never covers its links.
-        return frozenset()
-    ys = set(net.effects_of(x))
-    if x in net.isa_star(root):
-        ys &= covered(root)[x]
-    for p in off_climb(root) if ys else ():
-        if p != x and x in net.isa_star(p):
-            ys &= covered(p)[x]
-            if not ys:
-                break
-    return frozenset((x, y) for y in ys)
+    ys_of: dict[EventId, set[EventId]] = {}
+    for p in (root, *(reach - net.isa_star(root))):
+        if net.parents_of(p):
+            for x, ys in covered_below(net, p).items():
+                ys_of[x] = ys.intersection(ys_of.get(x, net.effects_of(x)))
+    return {x: frozenset((x, y) for y in ys) for x, ys in ys_of.items()}
 
 
 def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:

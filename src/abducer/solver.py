@@ -29,12 +29,13 @@ keeps.  The clean rule drops trees that leave an observation uncovered
 that adds nothing to their scenario; an isa edge whose head has no
 out-edge that could make it clean is dead, and the base DP and every
 subspace forbid it up front.  The shadow rule drops trees that hold a
-shadowed link (``scenario.shadowed_below``) out of an event they enter
-by isa; those out of a root's own isa ancestors are forbidden in every
-subspace of that root.  The validity check stays on every tree, because
-a link can still be preempted in one scenario and not in another;
-``explain`` hands it the tree's own BFS order of links, which certifies
-nearly every valid tree without a search.
+shadowed link (``scenario.shadow_table``) out of an event they enter
+by isa; those out of a root's own isa ancestors, and out of the events
+that no causal link enters, are forbidden in every subspace of that
+root.  The validity check stays on every tree, because a link can still
+be preempted in one scenario and not in another; ``explain`` hands it
+the tree's own BFS order of links, which certifies nearly every valid
+tree without a search.
 
 The DP keeps one distance dict and one backpointer dict per terminal
 subset, and a node enters them only when some relaxation reaches it, so
@@ -56,14 +57,13 @@ from .scenario import (
     RankedExplanation,
     Scenario,
     check_query,
-    covered_below,
     is_valid_scenario,
     log_weight,
     order_and_rank,
     participants,
     raw_probability,
     reachable,
-    shadowed_below,
+    shadow_table,
 )
 
 MAX_TERMINALS = 20
@@ -501,18 +501,18 @@ class _CandidateStream:
 
     The shadow rule is the method ``shadowed(r, x)``: the causal edges out
     of x that no tree rooted at r may hold where x is never a maximal
-    participant (``scenario.shadowed_below``).  The stream caches it,
-    ``reach``, ``off_climb`` and ``covered`` per query.  For the proper isa
-    ancestors x of r that is every tree, so their edges, ``_banned(r)``, are
-    forbidden in every subspace of r: a popped root whose base tree uses
-    one defers the child (F = {}, X = banned(r)) under its own key instead,
-    and every child keeps its parent's forbidden keys.  Elsewhere the rule
-    holds for the trees that enter x by an isa edge, which
-    ``_shadowed_edge`` enforces: its e = x->y is the first causal edge, in
-    T's BFS order, whose source T enters by isa and which ``shadowed(r, x)``
-    names, and its one fix forbids x's isa in-edges.  A dropped tree holds
-    e and enters x by isa, so it is never valid.  On r's climb e would be
-    banned, so there it never fires.
+    participant.  It reads r's ``scenario.shadow_table``, built once per
+    query from ``reach(r)``.  Where x is a proper isa ancestor of r, or
+    an event other than r that no causal link enters, that is every tree,
+    so these edges, ``_banned(r)``, are forbidden in every subspace of r: a
+    popped root whose base tree uses one defers the child (F = {},
+    X = banned(r)) under its own key instead, and every child keeps its
+    parent's forbidden keys.  Elsewhere the rule holds for the trees that
+    enter x by an isa edge, which ``_shadowed_edge`` enforces: its
+    e = x->y is the first causal edge, in T's BFS order, whose source T
+    enters by isa and which ``shadowed(r, x)`` names, and its one fix
+    forbids x's isa in-edges.  A dropped tree holds e and enters x by isa,
+    so it is never valid.  Where e would be banned it never fires.
 
     A yielded tree's children that provably hold no tree are never
     deferred (``_partition``): the exclusion child of an edge that every
@@ -532,9 +532,7 @@ class _CandidateStream:
         self.net = net
         self.g = g = build_search_graph(net)
         self._reach: dict[str, frozenset[str]] = {}
-        self._off: dict[str, frozenset[str]] = {}
-        self._covered: dict[str, dict[str, set[str]]] = {}
-        self._below: dict[tuple[str, str], frozenset[EdgeKey]] = {}
+        self._shadow: dict[str, dict[str, frozenset[EdgeKey]]] = {}
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         _check_terminal_count(self.terminals)
@@ -583,34 +581,26 @@ class _CandidateStream:
             got = self._reach[root] = reachable(self.net, root)
         return got
 
-    def off_climb(self, root: str) -> frozenset[str]:
-        """The events root reaches off its own isa climb."""
-        got = self._off.get(root)
-        if got is None:
-            got = self._off[root] = self.reach(root) - self.net.isa_star(root)
-        return got
-
-    def covered(self, p: str) -> dict[str, set[str]]:
-        """``scenario.covered_below`` at p, computed once per query."""
-        got = self._covered.get(p)
-        if got is None:
-            got = self._covered[p] = covered_below(self.net, p)
-        return got
-
     def shadowed(self, root: str, x: str) -> frozenset[EdgeKey]:
         """The shadow rule: the causal edges out of x that no tree rooted at
-        root holds where x is never a maximal participant."""
-        got = self._below.get((root, x))
-        if got is None:
-            got = shadowed_below(self.net, root, x, self.covered, self.off_climb)
-            self._below[root, x] = got
-        return got
+        root holds where x is never a maximal participant.  The culprit is
+        always maximal, so none of root's own; all of x's when no attach
+        point below root specializes x."""
+        if x == root:
+            return frozenset()
+        table = self._shadow.get(root)
+        if table is None:
+            table = self._shadow[root] = shadow_table(self.net, root, self.reach(root))
+        got = table.get(x)
+        return got if got is not None else frozenset((x, y) for y in self.net.effects_of(x))
 
     def _banned(self, root: str) -> frozenset[EdgeKey]:
-        """The rule edges out of root's proper isa ancestors, which every
-        subspace of root forbids."""
-        climb = self.net.isa_star(root)
-        return frozenset().union(*(self.shadowed(root, x) for x in climb if x != root))
+        """The rule edges that every subspace of root forbids: those out of
+        the events root reaches, other than root, that are on its isa
+        climb or that no causal link enters."""
+        climb, causes_of = self.net.isa_star(root), self.net.causes_of
+        banned = [x for x in self.reach(root) if x != root and (x in climb or not causes_of(x))]
+        return frozenset().union(*(self.shadowed(root, x) for x in banned))
 
     def _extension_edges(self, root: str) -> tuple[EdgeKey, ...]:
         """The causal edges whose source root reaches, in key order."""

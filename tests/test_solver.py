@@ -876,6 +876,23 @@ class TestExplain:
         explain(fig2, obs, k=3, multi=multi)
         assert {r: calls.count(r) for r in calls} == walked
 
+    @pytest.mark.parametrize(
+        "obs, multi, tabled",
+        [(["e", "g"], False, {"d": 1, "f": 1}), (["g"], True, {TOP_NAME: 1})],
+    )
+    def test_one_shadow_table_per_root(self, fig2, monkeypatch, obs, multi, tabled):
+        # The banned links and the rule's splits read one table per root.
+        calls = []
+        table = abducer.solver.shadow_table
+
+        def counted(net, root, reach):
+            calls.append(root)
+            return table(net, root, reach)
+
+        monkeypatch.setattr(abducer.solver, "shadow_table", counted)
+        explain(fig2, obs, k=3, multi=multi)
+        assert {r: calls.count(r) for r in calls} == tabled
+
 
 def _dense_query(seed, index):
     """Query ``index`` (0-based) of the dense family at seed."""
@@ -1077,13 +1094,14 @@ class TestChildBounds:
                 want = [(w, root, tree.edges) for w, root, tree in _Unbounded(work, roots, obs)]
                 assert got == want
 
-    @pytest.mark.parametrize("multi, most", [(False, 432), (True, 1099)])
+    @pytest.mark.parametrize("multi, most", [(False, 431), (True, 1098)])
     def test_dense_family_dp_count(self, multi, most):
         # Dense family, k=3, seeds 0-3.  Keyed by their parents' weights
         # alone, the children took 707 DPs in single mode and 1,501 in
         # multi mode; with base-DP bounds alone, 502 and 1,182.  Dead isa
         # edges forbidden up front and roots opened at the heap top bring
-        # them to 432 and 1,099.
+        # them to 432 and 1,099, and shadowed links out of uncaused events
+        # forbidden up front to 431 and 1,098.
         stats = SolveStats()
         for seed in range(4):
             for net, obs in family_queries("dense", seed):
