@@ -23,6 +23,7 @@ _EXPORTS = {
     "CountExceedsParentError": "errors",
     "DuplicateDeclarationError": "errors",
     "InconsistentConstraintsError": "errors",
+    "InvalidArgumentError": "errors",
     "InvalidScenarioError": "errors",
     "IsaCycleError": "errors",
     "MissingDisorderPriorError": "errors",

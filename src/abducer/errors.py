@@ -18,6 +18,10 @@ class ParseError(AbducerError):
         super().__init__(message)
 
 
+class InvalidArgumentError(AbducerError, ValueError):
+    """An empty query, k < 1 or a count out of range; also a ValueError."""
+
+
 class UnknownEventError(AbducerError):
     """A referenced event id is not declared in the network."""
 

@@ -57,6 +57,7 @@ class CausalNetwork:
         "_links_by_cause",
         "_links_by_effect",
         "_parents",
+        "_successors",
         "_isa_star",
     )
 
@@ -126,8 +127,8 @@ class CausalNetwork:
         # searched alone.  A pair is never both a cause and an isa link, so
         # each event's two lists are disjoint.
         by_cause = self._links_by_cause
-        union = {
-            e: sorted(by_cause.get(e, ()) + ps) if ps else by_cause.get(e, ())
+        self._successors = union = {
+            e: tuple(sorted(by_cause.get(e, ()) + ps)) if ps else by_cause.get(e, ())
             for e, ps in self._parents.items()
         }
         cycle = _find_cycle(union)
@@ -178,6 +179,10 @@ class CausalNetwork:
     def parents_of(self, e: EventId) -> tuple[EventId, ...]:
         return self._parents.get(e, ())
 
+    def successors(self, e: EventId) -> tuple[EventId, ...]:
+        """e's effects and isa parents, sorted: its out-edges' heads."""
+        return self._successors.get(e, ())
+
     def isa_star(self, e: EventId) -> frozenset[EventId]:
         """All events reachable from e by zero or more isa steps."""
         # Computed on first use: the closures of an n-event isa chain hold
@@ -186,14 +191,7 @@ class CausalNetwork:
         if got is None:
             if e not in self._nodes:
                 raise UnknownEventError(f"unknown event: {e}")
-            seen = {e}
-            todo = [e]
-            while todo:
-                for p in self._parents[todo.pop()]:
-                    if p not in seen:
-                        seen.add(p)
-                        todo.append(p)
-            got = self._isa_star[e] = frozenset(seen)
+            got = self._isa_star[e] = frozenset(isa_postorder(self, e))
         return got
 
     def specializes(self, child: EventId, parent: EventId) -> bool:
@@ -367,6 +365,18 @@ def isa_postorder(net: CausalNetwork, e: EventId, skip: frozenset[EventId] = fro
             walk.pop()
             order.append(v)
     return order
+
+
+def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
+    """Events reachable from root by causal and isa links."""
+    seen = {root}
+    todo = [root]
+    while todo:
+        for w in net.successors(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return frozenset(seen)
 
 
 def isa_ancestors(net: CausalNetwork, e: EventId) -> list[EventId]:

@@ -43,6 +43,7 @@ from .errors import (
     AmbiguousReferenceClassError,
     CountExceedsParentError,
     DuplicateDeclarationError,
+    InvalidArgumentError,
     NoRelevantConceptError,
     ParseError,
     UnknownConceptError,
@@ -80,7 +81,7 @@ class RecognitionKB:
         self._by_id: dict[str, Concept] = {}
         for c in self.concepts:
             if c.count < 1:
-                raise ValueError(f"concept {c.id} needs a positive count")
+                raise InvalidArgumentError(f"concept {c.id} needs a positive count")
             if c.id in self._by_id:
                 raise DuplicateDeclarationError(f"duplicate concept: {c.id}")
             self._by_id[c.id] = c
@@ -90,7 +91,7 @@ class RecognitionKB:
             if s.concept not in self._by_id:
                 raise UnknownConceptError(f"unknown concept: {s.concept}")
             if s.count < 0:
-                raise ValueError(f"spec count for {s.concept} may not be negative")
+                raise InvalidArgumentError(f"spec count for {s.concept} may not be negative")
             if s.count > self._by_id[s.concept].count:
                 raise CountExceedsParentError(
                     f"spec {s.property}={s.value} count {s.count} exceeds "
@@ -287,9 +288,9 @@ def recognize(kb: RecognitionKB, query: RecognitionQuery) -> list[RecognitionRes
     from .scenario import Scenario, is_valid_scenario
 
     if not query.cset:
-        raise ValueError("candidate set must be non-empty")
+        raise InvalidArgumentError("candidate set must be non-empty")
     if not query.descr:
-        raise ValueError("description must be non-empty")
+        raise InvalidArgumentError("description must be non-empty")
     for c in sorted(query.cset):
         kb.concept(c)
     known = kb.known_pairs()

@@ -69,6 +69,7 @@ from itertools import repeat, starmap
 from typing import AbstractSet, Iterable, Iterator
 
 from .errors import (
+    InvalidArgumentError,
     InvalidScenarioError,
     MissingPriorError,
     UnknownEventError,
@@ -117,9 +118,9 @@ def check_query(net: CausalNetwork, observations: Iterable[EventId], k: int) -> 
     net (the first unknown one in sorted order is named)."""
     obs = frozenset(observations)
     if not obs:
-        raise ValueError("observation set must be non-empty")
+        raise InvalidArgumentError("observation set must be non-empty")
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InvalidArgumentError("k must be positive")
     for o in sorted(obs):
         if not net.has_event(o):
             raise UnknownEventError(f"unknown event: {o}")
@@ -230,19 +231,6 @@ def shadow_table(
             for x, ys in covered_below(net, p).items():
                 ys_of[x] = ys.intersection(ys_of.get(x, net.effects_of(x)))
     return {x: frozenset((x, y) for y in ys) for x, ys in ys_of.items()}
-
-
-def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
-    """Events reachable from root by causal and isa links."""
-    seen = {root}
-    todo = [root]
-    while todo:
-        v = todo.pop()
-        for w in net.effects_of(v) + net.parents_of(v):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return frozenset(seen)
 
 
 def is_valid_scenario(

@@ -51,7 +51,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .errors import InconsistentConstraintsError, TooManyTerminalsError, UnknownEventError
-from .kb import CausalNetwork, EventId, multi_roots
+from .kb import CausalNetwork, EventId, multi_roots, reachable
 from .scenario import (
     WEIGHT_TIE_TOL,
     RankedExplanation,
@@ -62,7 +62,6 @@ from .scenario import (
     order_and_rank,
     participants,
     raw_probability,
-    reachable,
     shadow_table,
 )
 
@@ -72,17 +71,15 @@ EdgeKey = tuple[str, str]
 
 
 class WeightedSearchGraph:
-    """Immutable weighted digraph over event ids; an edge is its
-    ``(src, dst)`` key.
+    """The weights the DP reads, over event ids; an edge is its
+    ``(src, dst)`` key.  Which edges are causal and where they lead is
+    the network's to say (``CausalNetwork.successors`` and ``is_link``).
 
-    ``weight`` maps each key to its weight: the ``causal`` keys carry the
-    given weights and every other edge is an isa edge of weight zero.
-    ``in_edges[v]`` lists v's in-edges as ``(weight, src, key)``, lightest
-    first, ties broken by source; ``out_edges[v]`` lists v's out-edge keys
-    by head.
-    """
+    ``weight`` maps the causal keys to their given weights and the isa keys
+    to zero.  ``in_edges[v]`` lists v's in-edges as ``(weight, src, key)``,
+    lightest first, ties broken by source."""
 
-    __slots__ = ("node_set", "node_weight", "weight", "causal", "in_edges", "out_edges")
+    __slots__ = ("node_set", "node_weight", "weight", "in_edges")
 
     def __init__(
         self,
@@ -93,16 +90,11 @@ class WeightedSearchGraph:
     ):
         self.node_set = frozenset(nodes)
         self.node_weight = dict(node_weight)
-        self.causal = frozenset(causal)
         self.weight = {**causal, **dict.fromkeys(isa, 0.0)}
         ins: dict[str, list[tuple[float, str, EdgeKey]]] = {}
-        outs: dict[str, list[EdgeKey]] = {}
-        for k in sorted(self.weight):
-            outs.setdefault(k[0], []).append(k)
         for e in sorted((w, k[0], k) for k, w in self.weight.items()):
             ins.setdefault(e[2][1], []).append(e)
         self.in_edges = {v: tuple(es) for v, es in ins.items()}
-        self.out_edges = {v: tuple(ks) for v, ks in outs.items()}
 
 
 def build_search_graph(net: CausalNetwork) -> WeightedSearchGraph:
@@ -403,17 +395,18 @@ def tree_to_scenario(net: CausalNetwork, tree: SteinerTree) -> Scenario:
 class _CandidateStream:
     """Best-first Lawler enumeration of candidate trees over several roots.
 
-    The stream builds its search graph from the network.  It yields
-    (weight, root, tree) with weight = root node weight + tree weight, in
-    non-decreasing order, and stops once the top key of its heap is past
-    ``bound`` (infinite until the caller lowers it): every tree a heap
-    entry holds weighs at least its key, so no tree it skips is within the
-    bound.  Emitted trees are partitioned away by two kinds of
-    subproblem: excluding one tree edge (forcing the preceding prefix), and
-    strict extensions (forcing the whole tree plus one further causal edge,
-    earlier-ordered extension edges forbidden).  The second kind makes the
-    stream cover non-minimal candidates, whose extra branches explain
-    nothing but are still legitimate scenarios.
+    The stream weighs edges by its search graph and asks the network which
+    are causal and where they lead.  It yields (weight, root, tree) with
+    weight = root node weight + tree weight, in non-decreasing order, and
+    stops once the top key of its heap is past ``bound`` (infinite until
+    the caller lowers it): every tree a heap entry holds weighs at least
+    its key, so no tree it skips is within the bound.  Emitted trees are
+    partitioned away by two kinds of subproblem: excluding one tree edge
+    (forcing the preceding prefix), and strict extensions (forcing the
+    whole tree plus one further causal edge, earlier-ordered extension
+    edges forbidden).  The second kind makes the stream cover non-minimal
+    candidates, whose extra branches explain nothing but are still
+    legitimate scenarios.
 
     Every heap entry but a tree waits unopened under a key ``(lb, tag)``:
     lb bounds the weight of its trees from below, less ``WEIGHT_TIE_TOL``
@@ -466,9 +459,10 @@ class _CandidateStream:
     fixes (A_i, B_i), keys to force and to forbid besides e, where T
     satisfies no fix (it lacks a key of A_i or holds one of B_i) and each
     fix forbids a key of every earlier fix's A_i.  The first rule that
-    splits T drops it and defers, under ``(w(T) - WEIGHT_TIE_TOL, -1)``,
-    (F, X + e) unless e is forced, and (F + e + A_i, X + B_i) for each fix
-    whose A_i misses X and whose B_i misses F.
+    splits T drops it and defers, under ``(w(T) - WEIGHT_TIE_TOL, -2)``
+    and so bounded when popped, (F, X + e) unless e is forced, and
+    (F + e + A_i, X + B_i) for each fix whose A_i misses X and whose B_i
+    misses F.
 
     The split is exact.  The children lie inside (F, X) and are disjoint:
     the first forbids e, the others force it, and of two fixes the later
@@ -486,9 +480,9 @@ class _CandidateStream:
     The clean rule (``_unclean_edge``): every isa edge's head has an
     out-edge in the tree, and a terminal entered by an isa edge has a causal
     one.  Its e = c->x is the first isa edge, in T's BFS order, that breaks
-    this; an out-edge of x qualifies if it is causal, or if x is not a
-    terminal, and for the qualifying g_1, g_2, ... of ``out_edges[x]`` the
-    fixes are ({g_i}, {g_1 .. g_i-1}).  A dropped tree gives x no qualifying
+    this; x's qualifying out-edges g_1, g_2, ... lead to ``effects_of(x)``
+    if x is a terminal and to ``successors(x)`` if not, and the fixes are
+    ({g_i}, {g_1 .. g_i-1}).  A dropped tree gives x no qualifying
     out-edge, so either x is an observation it does not cover, and the tree
     is never an explanation, or x is a non-terminal isa leaf, and removing e
     leaves a tree with the same scenario and weight.  An isa edge c->x is
@@ -560,9 +554,9 @@ class _CandidateStream:
 
     def _dead_edges(self) -> frozenset[EdgeKey]:
         """The isa edges that the clean rule splits with no fix."""
-        g, terms, causes = self.g, self._term_set, {k[0] for k in self.g.causal}
+        net, terms = self.net, self._term_set
         return frozenset(
-            k for k in g.weight if k not in g.causal and k[1] not in (causes if k[1] in terms else g.out_edges)
+            (c, x) for c, x in net.isa if not (net.effects_of if x in terms else net.successors)(x)
         )
 
     def _open(self, lb: float, root: str) -> None:
@@ -606,9 +600,8 @@ class _CandidateStream:
         """The causal edges whose source root reaches, in key order."""
         cached = self._ext_cache.get(root)
         if cached is None:
-            out, causal = self.g.out_edges, self.g.causal
-            keys = [k for v in self.reach(root) for k in out.get(v, ()) if k in causal]
-            cached = self._ext_cache[root] = tuple(sorted(keys))
+            keys = sorted((v, w) for v in self.reach(root) for w in self.net.effects_of(v))
+            cached = self._ext_cache[root] = tuple(keys)
         return cached
 
     def _push(self, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
@@ -631,12 +624,12 @@ class _CandidateStream:
         for src, _ in forced:
             if src not in inside:
                 return -math.inf
-        weight, out = self.g.weight, self.g.out_edges
+        weight, successors = self.g.weight, self.net.successors
         exits = [
-            (weight[k], k[1])
+            (weight[a, z], z)
             for a in inside
-            for k in out.get(a, ())
-            if k[1] not in inside and k not in forbidden
+            for z in successors(a)
+            if z not in inside and (a, z) not in forbidden
         ]
         far = 0.0
         for t, dist in zip(self.terminals, self._dist):
@@ -662,24 +655,25 @@ class _CandidateStream:
 
     def _unclean_edge(self, root: str, tree: SteinerTree) -> tuple[EdgeKey, list] | None:
         """The clean rule's split of tree, or None (see the class docstring)."""
-        causal, terms = self.g.causal, self._term_set
+        net, terms = self.net, self._term_set
+        isa = [k for k in tree.edges if not net.is_link(*k)]
         srcs = {k[0] for k in tree.edges}
-        causes = {k[0] for k in tree.edges if k in causal}
-        for e in tree.edges:
+        causes = {k[0] for k in tree.edges if k not in isa}
+        for e in isa:
             x = e[1]
-            if e not in causal and x not in (causes if x in terms else srcs):
-                outs = [k for k in self.g.out_edges.get(x, ()) if k in causal or x not in terms]
+            if x not in (causes if x in terms else srcs):
+                outs = [(x, y) for y in (net.effects_of if x in terms else net.successors)(x)]
                 return e, [((g,), outs[:i]) for i, g in enumerate(outs)]
         return None
 
     def _shadowed_edge(self, root: str, tree: SteinerTree) -> tuple[EdgeKey, list] | None:
         """The shadow rule's split of tree, or None (see the class docstring)."""
-        causal = self.g.causal
-        entered = {k[1] for k in tree.edges if k not in causal}
+        is_link = self.net.is_link
+        entered = {k[1] for k in tree.edges if not is_link(*k)}
         for e in tree.edges:
             x = e[0]
-            if x in entered and e in causal and e in self.shadowed(root, x):
-                return e, [((), [k for _, _, k in self.g.in_edges[x] if k not in causal])]
+            if x in entered and is_link(*e) and e in self.shadowed(root, x):
+                return e, [((), [k for _, _, k in self.g.in_edges[x] if not is_link(*k)])]
         return None
 
     _rules = (_unclean_edge, _shadowed_edge)

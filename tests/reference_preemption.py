@@ -7,8 +7,6 @@ link on its climb.  Both are quadratic in isa depth but follow the
 definitions in ``abducer.scenario`` line by line.
 """
 
-from abducer.scenario import reachable
-
 
 def preempting_alternative(net, placed, caused, p, x, y):
     """The first candidate against ``x -> y`` at ``p`` that stands."""
@@ -68,9 +66,23 @@ def shadowed_below(net, root, x):
     if x in climb:
         ys = [y for y in ys if _shadowed_at(net, root, x, y)]
     if ys:
-        for p in reachable(net, root):
+        for p in _reachable(net, root):
             if p != x and p not in climb and x in net.isa_star(p):
                 ys = [y for y in ys if _shadowed_at(net, p, x, y)]
                 if not ys:
                     break
     return frozenset((x, y) for y in ys)
+
+
+def _reachable(net, root):
+    """The events root reaches by causal and isa links, walked here so that
+    the reference shares no walk with the engine."""
+    seen = {root}
+    todo = [root]
+    while todo:
+        v = todo.pop()
+        for w in (*net.effects_of(v), *net.parents_of(v)):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen

@@ -1,8 +1,10 @@
 """The package surface: every public name loads on first use, from the
 module that defines it, and ``import abducer`` alone runs no submodule."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +39,12 @@ def test_misspelled_name_raises_attribute_error():
 def test_version_loads_no_submodule(modules_loaded_by):
     loaded = modules_loaded_by("import abducer\nassert abducer.__version__")
     assert {m for m in loaded if m.startswith("abducer")} == {"abducer"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(abducer.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    # A broken invariant raises AssertionError explicitly, so that
+    # ``python -O``, which strips assert statements, still reports it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

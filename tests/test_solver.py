@@ -48,9 +48,9 @@ class TestSearchGraph:
         g = build_search_graph(fig2)
         assert len(g.node_set) == 7
         assert len(g.weight) == 8
-        kinds = sorted("cause" if k in g.causal else "isa" for k in g.weight)
+        kinds = sorted("cause" if fig2.is_link(*k) else "isa" for k in g.weight)
         assert kinds == ["cause"] * 4 + ["isa"] * 4
-        assert g.causal == {(l.cause, l.effect) for l in fig2.causal}
+        assert {k for k in g.weight if fig2.is_link(*k)} == {(l.cause, l.effect) for l in fig2.causal}
 
     def test_edge_weights(self, fig2):
         g = build_search_graph(fig2)
@@ -77,7 +77,7 @@ class TestSearchGraph:
 
     def test_adjacency_indexes(self, fig2):
         g = build_search_graph(fig2)
-        assert {dst for _, dst in g.out_edges["f"]} == {"a", "g"}
+        assert fig2.successors("f") == ("a", "g")
         assert {src for _, src, _ in g.in_edges["e"]} == {"a", "b"}
 
 
@@ -640,7 +640,7 @@ class TestCandidateStream:
         terms = tuple(sorted(set(obs)))
         for work, roots in ((net, list(net.disorders)), (add_top(net), [TOP_NAME])):
             g = build_search_graph(work)
-            causal = sorted(g.causal)
+            causal = sorted((l.cause, l.effect) for l in work.causal)
             for _, root, tree in itertools.islice(_CandidateStream(work, roots, terms), 15):
                 tree_keys = frozenset(tree.edges)
                 nodes = {root} | {dst for _, dst in tree.edges}
@@ -996,16 +996,12 @@ class TestEmptyChildren:
             assert steiner_dp(g, root, terminals, forced, forbidden)[0] is None
 
 
-def _dead_isa_edges(g, terminals):
+def _dead_isa_edges(net, terminals):
     """The isa edges c->x where x has no causal out-edge (x a terminal) or
-    no out-edge at all (x not a terminal), from the graph's edge list."""
-    sources = {a for a, _ in g.weight}
-    causes = {a for a, _ in g.causal}
-    return {
-        (c, x)
-        for c, x in g.weight
-        if (c, x) not in g.causal and x not in (causes if x in terminals else sources)
-    }
+    no out-edge at all (x not a terminal), from the network's link lists."""
+    causes = {l.cause for l in net.causal}
+    sources = causes | {l.child for l in net.isa}
+    return {(c, x) for c, x in net.isa if x not in (causes if x in terminals else sources)}
 
 
 def _distances_to(g, t, skip=frozenset()):
@@ -1024,17 +1020,17 @@ def _distances_to(g, t, skip=frozenset()):
     return dist
 
 
-def _reference_bound(g, root, terminals, forced, forbidden):
+def _reference_bound(net, g, root, terminals, forced, forbidden):
     """The child bound of the ``_CandidateStream`` docstring, from the
     graph's edge list and fresh distances in the graph without the query's
-    dead isa edges."""
+    dead isa edges, taken from the network's link lists."""
     inside = {root} | {dst for _, dst in forced}
     if any(src not in inside for src, _ in forced):
         return -math.inf
     exits = [
         (w, z) for (a, z), w in g.weight.items() if a in inside and z not in inside and (a, z) not in forbidden
     ]
-    dead = _dead_isa_edges(g, terminals)
+    dead = _dead_isa_edges(net, terminals)
     far = 0.0
     for t in terminals:
         if t not in inside:
@@ -1063,7 +1059,7 @@ class TestChildBounds:
         class Recording(_CandidateStream):
             def _lower_bound(self, root, forced, forbidden):
                 lb = super()._lower_bound(root, forced, forbidden)
-                bounds.append((self.g, self.terminals, root, forced, forbidden, lb))
+                bounds.append((self.net, self.g, self.terminals, root, forced, forbidden, lb))
                 return lb
 
         monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
@@ -1071,8 +1067,8 @@ class TestChildBounds:
             if obs:
                 explain(net, obs, k=3, multi=multi)
         seen = collections.Counter()
-        for g, terminals, root, forced, forbidden, lb in bounds:
-            want = _reference_bound(g, root, terminals, forced, forbidden)
+        for net, g, terminals, root, forced, forbidden, lb in bounds:
+            want = _reference_bound(net, g, root, terminals, forced, forbidden)
             assert lb == want or abs(lb - want) <= 1e-12
             tree, _ = steiner_dp(g, root, terminals, forced, forbidden)
             if lb == math.inf:
@@ -1143,11 +1139,11 @@ class TestUpFront:
             if not obs or not roots:
                 continue
             stream = _CandidateStream(work, roots, obs)
-            for e in sorted(stream.g.weight.keys() - stream.g.causal):
+            for e in sorted(work.isa):
                 split = stream._unclean_edge(e[0], SteinerTree(e[0], (e,), frozenset(obs), 0.0))
                 assert split[0] == e
                 assert (split[1] == []) == (e in stream._dead)
-            assert stream._dead == _dead_isa_edges(stream.g, frozenset(obs))
+            assert stream._dead == _dead_isa_edges(work, frozenset(obs))
             got = [(w, root, tree.edges) for w, root, tree in itertools.islice(stream, 200)]
             undead = itertools.islice(_Undead(work, roots, obs), 200)
             assert got == [(w, root, tree.edges) for w, root, tree in undead]
@@ -1189,6 +1185,36 @@ class TestUpFront:
         rule = _rule(net)
         assert list(rule) == []
         assert rule._banned("c") == {("a", "o")}
+
+    def test_only_the_answers_root_is_opened_at_scale(self, monkeypatch):
+        # 200 disorders d_j (prior 0.5 - j/1000) each cause e0 of a
+        # 2,000-event chain.  At k=1 only d0, the lightest, is popped: one
+        # reach walk and one tree extraction in all, where opening every
+        # root would walk the chain 200 times.
+        n_roots, n_chain = 200, 2000
+        lines = [f"event e{i}\n" for i in range(n_chain)]
+        lines += [f"cause e{i} e{i + 1} p=0.9\n" for i in range(n_chain - 1)]
+        for j in range(n_roots):
+            lines.append(f"event d{j} prior={0.5 - j / 1000!r} disorder\ncause d{j} e0 p=0.9\n")
+        net = parse_network("".join(lines))
+        walked, extracted = [], []
+        walk, extract = abducer.solver.reachable, abducer.solver._extract
+
+        def recording_walk(net, root):
+            walked.append(root)
+            return walk(net, root)
+
+        def recording_extract(table, root):
+            extracted.append(root)
+            return extract(table, root)
+
+        monkeypatch.setattr(abducer.solver, "reachable", recording_walk)
+        monkeypatch.setattr(abducer.solver, "_extract", recording_extract)
+        got = explain(net, [f"e{n_chain - 1}"], k=1)
+        assert [r.scenario.culprit for r in got] == ["d0"]
+        assert walked == ["d0"] and extracted == ["d0"]
+        got = explain(net, [f"e{n_chain - 1}"], k=2)
+        assert [r.scenario.culprit for r in got] == ["d0", "d1"]
 
 
 class TestDenseProperties:
