@@ -45,7 +45,6 @@ _EXPORTS = {
     "IsaLink": "kb",
     "TOP_NAME": "kb",
     "add_top": "kb",
-    "isa_ancestors": "kb",
     "parse_network": "kb",
     "serialize_network": "kb",
     "RankedExplanation": "scenario",

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import AbducerError
+from .errors import AbducerError, InvalidArgumentError
 from .kb import CausalNetwork, parse_network
 
 # Type checkers take this as true.  It stands in for typing.TYPE_CHECKING
@@ -34,7 +34,7 @@ def _read(path: str) -> str:
 def _split_csv(raw: str, what: str) -> list[str]:
     items = [t.strip() for t in raw.split(",") if t.strip()]
     if not items:
-        raise ValueError(f"{what} must be a non-empty comma-separated list")
+        raise InvalidArgumentError(f"{what} must be a non-empty comma-separated list")
     return items
 
 
@@ -130,12 +130,12 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     elif args.cset:
         cset = _split_csv(args.cset, "--cset")
     else:
-        raise ValueError("either --cset or --open-cset is required")
+        raise InvalidArgumentError("either --cset or --open-cset is required")
     descr = []
     for tok in _split_csv(args.descr, "--descr"):
         p, eq, v = tok.partition("=")
         if not eq or not p or not v:
-            raise ValueError(f"bad description entry (want property=value): {tok}")
+            raise InvalidArgumentError(f"bad description entry (want property=value): {tok}")
         descr.append((p, v))
 
     stats = None
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (AbducerError, ValueError) as err:
+    except AbducerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

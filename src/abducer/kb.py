@@ -379,14 +379,6 @@ def reachable(net: CausalNetwork, root: EventId) -> frozenset[EventId]:
     return frozenset(seen)
 
 
-def isa_ancestors(net: CausalNetwork, e: EventId) -> list[EventId]:
-    """Ancestors of e (e included), most specific first: a topological
-    order of the ancestor sub-DAG under isa, so e always comes first."""
-    if not net.has_event(e):
-        raise UnknownEventError(f"unknown event: {e}")
-    return isa_postorder(net, e)[::-1]
-
-
 def add_top(net: CausalNetwork) -> CausalNetwork:
     """Return a copy with the distinguished root event added.
 

@@ -215,20 +215,23 @@ def covered_below(net: CausalNetwork, p: EventId) -> dict[EventId, set[EventId]]
 
 
 def shadow_table(
-    net: CausalNetwork, root: EventId, reach: AbstractSet[EventId]
+    net: CausalNetwork, root: EventId, reach: AbstractSet[EventId], passes: dict
 ) -> dict[EventId, frozenset[Link]]:
     """The links shadowed below root (see the module docstring): for each
     event x that some attach point below root specializes, the links
     x -> y shadowed there.
 
-    ``reach`` holds the events root reaches.  Each attach point with an
-    isa parent gets one ``covered_below`` pass, whose entries narrow
-    the table's.
+    ``reach`` holds the events root reaches.  Each attach point p with an
+    isa parent has one ``covered_below`` pass, whose entries narrow the
+    table's.  ``passes`` maps p to its pass; a pass depends on p alone, so
+    the tables of one network can share it, and missing passes are added.
     """
     ys_of: dict[EventId, set[EventId]] = {}
     for p in (root, *(reach - net.isa_star(root))):
         if net.parents_of(p):
-            for x, ys in covered_below(net, p).items():
+            if p not in passes:
+                passes[p] = covered_below(net, p)
+            for x, ys in passes[p].items():
                 ys_of[x] = ys.intersection(ys_of.get(x, net.effects_of(x)))
     return {x: frozenset((x, y) for y in ys) for x, ys in ys_of.items()}
 

@@ -419,10 +419,11 @@ class _CandidateStream:
     opened.  A root r waits keyed ``(w(r) + d_r, -3)``, d_r its full-mask
     weight in the base DP that every root shares (a root that DP does not
     reach is never pushed); only a popped root has its tree extracted and
-    banned(r) (below) computed.  A child waits keyed ``(lb, -2)``, lb its
-    parent's weight, plus the forced edge's weight for an extension child.
+    banned(r) (below) computed.  A rule or exclusion child waits keyed
+    ``(lb, -2)``, lb its parent's weight; every extension child waits
+    keyed ``(lb + w(f), -1)``, f its forced edge, and is built when popped.
 
-    Such a child that reaches the top is bounded once (``_lower_bound``),
+    A ``-2`` child that reaches the top is bounded once (``_lower_bound``),
     then re-keyed ``(b, -1)`` if its bound b exceeds lb, dropped if b is
     infinite, and solved otherwise; a child keyed ``-1`` is solved when
     popped.  The bound needs the child's forced edges F to hang from its
@@ -437,21 +438,22 @@ class _CandidateStream:
     distance to t in the graph less its dead edges (below), which the base
     DP's single-terminal masks hold.  A terminal with no such exit leaves
     the child empty, and the bound infinite.  Children whose forced edges
-    do not hang from the root keep their parent's weight, and an extension
-    child built without a DP is keyed ``-1`` from the start, its key being
-    its weight.  An extension edge whose head is already in the tree would
-    give a node two parents, so its child is never created; the edge is
-    still forbidden to later extension children, which keeps their
-    constraint sets unchanged.
+    do not hang from the root keep their parent's weight.
 
-    An extension edge f that leaves the tree T (source in T, head not)
-    needs no DP: T already covers the terminals, T + f is an arborescence
-    that avoids the child's forbidden edges, and every tree holding the
-    forced T + f weighs at least that.  Such a child is deferred like any
-    other and, when popped, built by ``_canonicalize`` from T + f, the
-    function the DP's extraction ends in; since the DP would trace no edge
-    beyond the forced ones, edge order and weight bits are the DP's.  No
-    DP runs for it, so it adds nothing to the stats.
+    The extension child of a yielded tree T of (F, X) for the i-th edge f
+    of ``_extension_edges(r)`` holds T, i and X, shared with its siblings
+    and not copied, so a yielded tree costs O(|ext|) however many children
+    it defers.  When popped, ``_solve_child`` builds its sets:
+    F' = keys(T) + f and X' = X + (ext[:i] - keys(T)).  It is never
+    bounded.  If f's source is r or a head of T, T + f is an arborescence
+    that covers the terminals and avoids X', and every tree holding the
+    forced T + f weighs at least that, so the key is its weight; it is
+    built by ``_canonicalize``, in which the DP's extraction ends, with the
+    DP's edge order and weight bits (the DP would trace no edge beyond the
+    forced ones), and no DP runs.  Otherwise f's source lies outside T, so
+    F' does not hang from r and its bound would be minus infinity.  An
+    extension edge whose head is in T would give a node two parents, so
+    its child is never created; X' still forbids it to later siblings.
 
     Before a popped tree T of subproblem (F, X) is yielded it meets
     ``_rules``, an ordered table of tree rules.  A rule looks at T alone
@@ -496,17 +498,18 @@ class _CandidateStream:
     The shadow rule is the method ``shadowed(r, x)``: the causal edges out
     of x that no tree rooted at r may hold where x is never a maximal
     participant.  It reads r's ``scenario.shadow_table``, built once per
-    query from ``reach(r)``.  Where x is a proper isa ancestor of r, or
-    an event other than r that no causal link enters, that is every tree,
-    so these edges, ``_banned(r)``, are forbidden in every subspace of r: a
-    popped root whose base tree uses one defers the child (F = {},
-    X = banned(r)) under its own key instead, and every child keeps its
-    parent's forbidden keys.  Elsewhere the rule holds for the trees that
-    enter x by an isa edge, which ``_shadowed_edge`` enforces: its
-    e = x->y is the first causal edge, in T's BFS order, whose source T
-    enters by isa and which ``shadowed(r, x)`` names, and its one fix
-    forbids x's isa in-edges.  A dropped tree holds e and enters x by isa,
-    so it is never valid.  Where e would be banned it never fires.
+    query from ``reach(r)`` and climb passes that the query's roots share.
+    Where x is a proper isa ancestor of r, or an event other than r that no
+    causal link enters, that is every tree, so these edges, ``_banned(r)``,
+    are forbidden in every subspace of r: a popped root whose base tree
+    uses one defers the child (F = {}, X = banned(r)) under its own key
+    instead, and every child keeps its parent's forbidden keys.  Elsewhere
+    the rule holds for the trees that enter x by an isa edge, which
+    ``_shadowed_edge`` enforces: its e = x->y is the first causal edge, in
+    T's BFS order, whose source T enters by isa and which
+    ``shadowed(r, x)`` names, and its one fix forbids x's isa in-edges.  A
+    dropped tree holds e and enters x by isa, so it is never valid.  Where
+    e would be banned it never fires.
 
     A yielded tree's children that provably hold no tree are never
     deferred (``_partition``): the exclusion child of an edge that every
@@ -527,6 +530,7 @@ class _CandidateStream:
         self.g = g = build_search_graph(net)
         self._reach: dict[str, frozenset[str]] = {}
         self._shadow: dict[str, dict[str, frozenset[EdgeKey]]] = {}
+        self._passes: dict[str, dict[str, set[str]]] = {}
         self.bound = math.inf
         self.terminals = tuple(sorted(set(terminals)))
         _check_terminal_count(self.terminals)
@@ -584,7 +588,7 @@ class _CandidateStream:
             return frozenset()
         table = self._shadow.get(root)
         if table is None:
-            table = self._shadow[root] = shadow_table(self.net, root, self.reach(root))
+            table = self._shadow[root] = shadow_table(self.net, root, self.reach(root), self._passes)
         got = table.get(x)
         return got if got is not None else frozenset((x, y) for y in self.net.effects_of(x))
 
@@ -609,11 +613,11 @@ class _CandidateStream:
         key = (w, len(tree.edges), tree.edges, root)
         heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
 
-    def _defer(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, grown=None) -> None:
-        """Push a child unsolved: keyed -2 until it is bounded, or -1 if it
-        is built without a DP, whose key is already its weight."""
-        tag = -2 if grown is None else -1
-        heapq.heappush(self._heap, ((lb, tag), next(self._counter), root, forced, forbidden, grown))
+    def _defer(self, lb: float, root: str, forced, forbidden: frozenset, parent=None) -> None:
+        """Push a child unsolved: keyed -2 until it is bounded, or -1 for an
+        extension child, whose forced slot holds its edge's index."""
+        tag = -2 if parent is None else -1
+        heapq.heappush(self._heap, ((lb, tag), next(self._counter), root, forced, forbidden, parent))
 
     def _lower_bound(self, root: str, forced: frozenset, forbidden: frozenset) -> float:
         """A lower bound on the weight of every tree of (forced, forbidden):
@@ -642,14 +646,20 @@ class _CandidateStream:
                 far = max(far, near)
         return self._root_weight(root) + math.fsum([weight[k] for k in forced]) + far - WEIGHT_TIE_TOL
 
-    def _solve_child(self, root: str, forced: frozenset, forbidden: frozenset, grown) -> None:
-        if grown is not None:
-            edges, w = _canonicalize(self.g, root, grown, self.terminals)
-            child = SteinerTree(root, edges, frozenset(self.terminals), w)
-        else:
-            child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
-            if self.stats is not None:
-                self.stats.absorb(table)
+    def _solve_child(self, root: str, forced, forbidden: frozenset, parent) -> None:
+        """Solve a popped child; an extension child's sets are built here."""
+        if parent is not None:
+            ext, keys = self._extension_edges(root), frozenset(parent.edges)
+            f = ext[forced]
+            forbidden = forbidden.union(k for k in ext[:forced] if k not in keys)
+            forced = keys | {f}
+            if f[0] == root or any(k[1] == f[0] for k in parent.edges):
+                edges, w = _canonicalize(self.g, root, forced, self.terminals)
+                self._push(root, forced, forbidden, SteinerTree(root, edges, self._term_set, w))
+                return
+        child, table = steiner_dp(self.g, root, self.terminals, forced, forbidden)
+        if self.stats is not None:
+            self.stats.absorb(table)
         if child is not None:
             self._push(root, forced, forbidden, child)
 
@@ -730,8 +740,8 @@ class _CandidateStream:
 
     def _partition(self, lb: float, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
         """Defer a yielded tree's Lawler children, less the empty ones named
-        in the class docstring.  A skipped child's edge still joins its
-        later siblings' constraint sets, so theirs are unchanged."""
+        in the class docstring.  ``sup_forbidden`` also takes the tree's
+        edges, but they enter heads, so the in-edge test never reads them."""
         pinned = self._pinned(tree, forced, forbidden)
         prefix = set(forced)
         for e in tree.edges:
@@ -741,19 +751,15 @@ class _CandidateStream:
                 self._defer(lb, root, frozenset(prefix), forbidden | {e})
             prefix.add(e)
 
-        tree_keys = frozenset(tree.edges)
         heads = {root} | {k[1] for k in tree.edges}
         sup_forbidden = set(forbidden)
         weight, in_edges = self.g.weight, self.g.in_edges
-        for f in self._extension_edges(root):
-            if f in tree_keys or f in sup_forbidden:
-                continue
+        for i, f in enumerate(self._extension_edges(root)):
             s = f[0]
-            if f[1] not in heads and (
+            if f[1] not in heads and f not in forbidden and (
                 s in heads or not sup_forbidden.issuperset(k for _, _, k in in_edges.get(s, ()))
             ):
-                grown = tree.edges + (f,) if s in heads else None
-                self._defer(lb + weight[f], root, tree_keys | {f}, frozenset(sup_forbidden), grown)
+                self._defer(lb + weight[f], root, i, forbidden, tree)
             sup_forbidden.add(f)
 
 

@@ -378,14 +378,17 @@ class TestExportDot:
 
 class TestInternalError:
     def test_unexpected_exception_exits_four(self, run, fig2_path, monkeypatch):
-        def broken(args):
-            raise RuntimeError("boom")
+        # A bare ValueError is a bug too: every bad argument raises
+        # InvalidArgumentError, an AbducerError.
+        for kind in (RuntimeError, ValueError):
+            def broken(args, kind=kind):
+                raise kind("boom")
 
-        monkeypatch.setattr(cli, "cmd_validate", broken)
-        code, out, err = run("validate", fig2_path)
-        assert code == 4
-        assert out == ""
-        assert err == "internal error: RuntimeError: boom\n"
+            monkeypatch.setattr(cli, "cmd_validate", broken)
+            code, out, err = run("validate", fig2_path)
+            assert code == 4
+            assert out == ""
+            assert err == f"internal error: {kind.__name__}: boom\n"
 
 
 @pytest.mark.parametrize("kind", ["cause", "isa"])

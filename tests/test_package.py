@@ -48,3 +48,19 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(abducer.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_value_error(path):
+    # Bad input raises a typed AbducerError (InvalidArgumentError is also a
+    # ValueError), so the CLI maps every one to exit 2 and a bare
+    # ValueError stays an internal error.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "ValueError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert lines == []

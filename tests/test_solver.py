@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abducer.scenario
 import abducer.solver
 from abducer import (
     AbducerError,
@@ -885,13 +886,43 @@ class TestExplain:
         calls = []
         table = abducer.solver.shadow_table
 
-        def counted(net, root, reach):
+        def counted(net, root, reach, passes):
             calls.append(root)
-            return table(net, root, reach)
+            return table(net, root, reach, passes)
 
         monkeypatch.setattr(abducer.solver, "shadow_table", counted)
         explain(fig2, obs, k=3, multi=multi)
         assert {r: calls.count(r) for r in calls} == tabled
+
+    def test_one_climb_pass_per_attach_point(self, monkeypatch):
+        # Both disorders reach p, whose climb has q above it.  Each root's
+        # table needs p's covered_below pass; the query makes it once, and
+        # the next query makes its own.
+        net = parse_network(
+            "event d1 prior=0.5 disorder\nevent d2 prior=0.4 disorder\n"
+            "event p\nevent q\nevent o\nisa p q\n"
+            "cause d1 p p=0.9\ncause d2 p p=0.8\ncause q o p=0.7\n"
+        )
+        passes, tables = [], []
+        covered, table = abducer.scenario.covered_below, abducer.solver.shadow_table
+
+        def counted_pass(net, p):
+            passes.append(p)
+            return covered(net, p)
+
+        def counted_table(net, root, reach, shared):
+            tables.append(root)
+            return table(net, root, reach, shared)
+
+        monkeypatch.setattr(abducer.scenario, "covered_below", counted_pass)
+        monkeypatch.setattr(abducer.solver, "shadow_table", counted_table)
+        for _ in range(2):
+            passes.clear()
+            tables.clear()
+            got = explain(net, ["o"], k=3)
+            assert [r.scenario.culprit for r in got] == ["d1", "d2"]
+            assert sorted(tables) == ["d1", "d2"]
+            assert passes == ["p"]
 
 
 def _dense_query(seed, index):
@@ -960,6 +991,24 @@ class TestEmptyChildren:
         assert got[0].log_weight == pytest.approx(math.log(2) + (n - 1) * math.log(1 / 0.9))
         assert stats.dp_runs == 1
 
+    def test_side_branches_cost_no_copy_per_child(self):
+        # Each chain event e_i also starts a side branch e_i -> s_i -> t_i.
+        # The one tree defers an extension child per side link, holding the
+        # tree and the edge's index; none is built, since the stream stops
+        # at the chain's weight.  Children that each copied the tree's edges
+        # and the growing forbidden set made this quadratic in n.
+        n = 6000
+        text = "event d prior=0.5 disorder\n"
+        text += "".join(f"event e{i}\nevent s{i}\nevent t{i}\n" for i in range(n))
+        text += "cause d e0 p=0.9\n" + "".join(f"cause e{i} e{i + 1} p=0.9\n" for i in range(n - 1))
+        text += "".join(f"cause e{i} s{i} p=0.5\ncause s{i} t{i} p=0.5\n" for i in range(n))
+        net = parse_network(text)
+        start = time.perf_counter()
+        got = explain(net, [f"e{n - 1}"], k=1)
+        assert time.perf_counter() - start < 1.0
+        links = [("d", "e0")] + [(f"e{i}", f"e{i + 1}") for i in range(n - 1)]
+        assert [r.scenario for r in got] == [Scenario.make("d", links)]
+
     @pytest.mark.parametrize("family", ["small", "dense"])
     def test_skipped_children_hold_no_tree(self, monkeypatch, family):
         skipped = []
@@ -969,9 +1018,15 @@ class TestEmptyChildren:
                 deferred = set()
                 defer = self._defer
 
-                def recording_defer(lb, root, forced, forbidden, grown=None):
-                    deferred.add((forced, forbidden))
-                    defer(lb, root, forced, forbidden, grown)
+                def recording_defer(lb, root, forced, forbidden, parent=None):
+                    if parent is None:
+                        deferred.add((forced, forbidden))
+                    else:
+                        # An extension entry holds its edge's index i and
+                        # its parent's tree T and forbidden set X.
+                        ext, keys = self._extension_edges(root), frozenset(parent.edges)
+                        deferred.add((keys | {ext[forced]}, forbidden | (set(ext[:forced]) - keys)))
+                    defer(lb, root, forced, forbidden, parent)
 
                 self._defer = recording_defer
                 try:
