@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import AbducerError, InvalidArgumentError
+from .errors import AbducerError, InvalidArgumentError, ParseError
 from .kb import CausalNetwork, parse_network
 
 # Type checkers take this as true.  It stands in for typing.TYPE_CHECKING
@@ -28,7 +28,11 @@ if TYPE_CHECKING:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"byte 0x{err.object[err.start]:02x} is not UTF-8", line) from None
 
 
 def _split_csv(raw: str, what: str) -> list[str]:

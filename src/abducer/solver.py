@@ -10,16 +10,14 @@ candidate tree is kept only if its scenario passes the canonical validity
 check.
 
 The enumeration is lazy (``_CandidateStream`` argues each step): every
-heap entry but a tree waits under a lower bound on the weight of its
-trees and is opened only when that reaches the top, and the stream stops
-once the top is past the k-th accepted weight.  One base DP serves every
-root: a root waits under its weight there, and its tree is extracted only
-when it is popped.  A Lawler child first waits under its parent's weight,
-then under a sharper bound from the base DP's distances to each
-terminal, or is dropped when that bound shows it holds no tree.  Children
-that provably hold no tree are never created, and an extension child
-whose forced edge leaves the parent tree needs no DP: its optimum is the
-parent tree plus that edge.
+heap entry but a tree waits under a lower bound on its trees' weight,
+opened only when that reaches the top; nothing past the k-th accepted
+weight is pushed or opened.  One base DP serves every root: a root waits
+under its weight there, and its tree is extracted only when popped.  A
+Lawler child is bounded when it is made, by its parent's weight and the
+base DP's distances to each terminal.  Children that provably hold no
+tree are never created, and an extension child whose forced edge leaves
+the parent tree needs no DP: its optimum is the parent tree plus that edge.
 
 The taxonomy enters the search as an ordered table of tree rules: a
 popped tree that breaks one is never yielded, and its first offending
@@ -408,26 +406,27 @@ class _CandidateStream:
     candidates, whose extra branches explain nothing but are still
     legitimate scenarios.
 
-    Every heap entry but a tree waits unopened under a key ``(lb, tag)``:
+    Every heap entry but a tree waits unopened under a key ``(lb, -1)``:
     lb bounds the weight of its trees from below, less ``WEIGHT_TIE_TOL``
     so that float rounding never lets a tree overtake an entry that could
     tie with it, and the negative tag sorts before every tree key
     ``(w, len(edges), edges, root)``.  So an entry is opened (and its tree
-    pushed under its real key) before any tree it could precede, the yield
-    order is that of opening every entry eagerly, an entry may be re-keyed
-    under any sharper bound, and one bounded past the stop is never
-    opened.  A root r waits keyed ``(w(r) + d_r, -3)``, d_r its full-mask
-    weight in the base DP that every root shares (a root that DP does not
-    reach is never pushed); only a popped root has its tree extracted and
-    banned(r) (below) computed.  A rule or exclusion child waits keyed
-    ``(lb, -2)``, lb its parent's weight; every extension child waits
-    keyed ``(lb + w(f), -1)``, f its forced edge, and is built when popped.
+    pushed under its real key) before any tree it could precede, and the
+    yield order is that of opening every entry eagerly.  No entry whose
+    weight is infinite or past ``bound`` is pushed: the bound only falls.
+    A root r (no forced set) is keyed by w(r) + d_r, d_r its full-mask
+    weight in the base DP that every root shares, and only a popped root
+    has its tree extracted and banned(r) (below) computed; ``_solve_child``
+    solves any other popped entry.  A rule or exclusion child is keyed by
+    max(lb, b), lb its parent's weight and b its bound (``_lower_bound``),
+    and an extension child by lb + w(f), f its forced edge.  b is taken
+    when the child is made, as it would be at the heap top: the parent was
+    popped within the bound, which only falls to the k-th accepted weight
+    plus the tolerance, at least every weight popped so far, so a child
+    keyed by its parent's weight less the tolerance reaches the top.
 
-    A ``-2`` child that reaches the top is bounded once (``_lower_bound``),
-    then re-keyed ``(b, -1)`` if its bound b exceeds lb, dropped if b is
-    infinite, and solved otherwise; a child keyed ``-1`` is solved when
-    popped.  The bound needs the child's forced edges F to hang from its
-    root r: every source of F is r or a head of F.  Let N = {r} + heads(F).
+    The bound needs the child's forced edges F to hang from its root r:
+    every source of F is r or a head of F.  Let N = {r} + heads(F).
     Every tree of the child holds F, which joins N to r, and for each
     terminal t outside N a path from r to t; after its last node a in N,
     that path leaves N by an edge (a, z) outside the forbidden set, with z
@@ -461,8 +460,8 @@ class _CandidateStream:
     fixes (A_i, B_i), keys to force and to forbid besides e, where T
     satisfies no fix (it lacks a key of A_i or holds one of B_i) and each
     fix forbids a key of every earlier fix's A_i.  The first rule that
-    splits T drops it and defers, under ``(w(T) - WEIGHT_TIE_TOL, -2)``
-    and so bounded when popped, (F, X + e) unless e is forced, and
+    splits T drops it and defers, with lb = w(T) - WEIGHT_TIE_TOL,
+    (F, X + e) unless e is forced, and
     (F + e + A_i, X + B_i) for each fix whose A_i misses X and whose B_i
     misses F.
 
@@ -502,8 +501,8 @@ class _CandidateStream:
     Where x is a proper isa ancestor of r, or an event other than r that no
     causal link enters, that is every tree, so these edges, ``_banned(r)``,
     are forbidden in every subspace of r: a popped root whose base tree
-    uses one defers the child (F = {}, X = banned(r)) under its own key
-    instead, and every child keeps its parent's forbidden keys.  Elsewhere
+    uses one defers the child (F = {}, X = banned(r)) instead, with lb its
+    own key, and every child keeps its parent's forbidden keys.  Elsewhere
     the rule holds for the trees that enter x by an isa edge, which
     ``_shadowed_edge`` enforces: its e = x->y is the first causal edge, in
     T's BFS order, whose source T enters by isa and which
@@ -548,10 +547,8 @@ class _CandidateStream:
         self._dist = [base.dist[1 << i] for i in range(len(self.terminals))]
         tops = base.dist.get((1 << len(self.terminals)) - 1, {})
         for r in sorted(set(roots)):
-            w = tops.get(r) if self.terminals else 0.0
-            if w is not None:
-                lb = self._root_weight(r) + w - WEIGHT_TIE_TOL
-                heapq.heappush(self._heap, ((lb, -3), next(self._counter), r, None, None, None))
+            w = tops.get(r, math.inf) if self.terminals else 0.0
+            self._admit((self._root_weight(r) + w - WEIGHT_TIE_TOL, -1), r, None, None, None)
 
     def _root_weight(self, root: str) -> float:
         return self.g.node_weight.get(root, 0.0)
@@ -610,14 +607,19 @@ class _CandidateStream:
 
     def _push(self, root: str, forced: frozenset, forbidden: frozenset, tree: SteinerTree) -> None:
         w = self._root_weight(root) + tree.total_weight
-        key = (w, len(tree.edges), tree.edges, root)
-        heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, tree))
+        self._admit((w, len(tree.edges), tree.edges, root), root, forced, forbidden, tree)
 
     def _defer(self, lb: float, root: str, forced, forbidden: frozenset, parent=None) -> None:
-        """Push a child unsolved: keyed -2 until it is bounded, or -1 for an
-        extension child, whose forced slot holds its edge's index."""
-        tag = -2 if parent is None else -1
-        heapq.heappush(self._heap, ((lb, tag), next(self._counter), root, forced, forbidden, parent))
+        """Push a child unopened, a rule or exclusion child bounded first;
+        an extension child's forced slot holds its edge's index."""
+        if parent is None:
+            lb = max(lb, self._lower_bound(root, forced, forbidden))
+        self._admit((lb, -1), root, forced, forbidden, parent)
+
+    def _admit(self, key: tuple, root: str, forced, forbidden, payload) -> None:
+        """Push an entry unless its weight is infinite or past the bound, which only falls."""
+        if key[0] <= self.bound and key[0] < math.inf:
+            heapq.heappush(self._heap, (key, next(self._counter), root, forced, forbidden, payload))
 
     def _lower_bound(self, root: str, forced: frozenset, forbidden: frozenset) -> float:
         """A lower bound on the weight of every tree of (forced, forbidden):
@@ -691,18 +693,11 @@ class _CandidateStream:
     def __iter__(self) -> Iterator[tuple[float, str, SteinerTree]]:
         while self._heap and self._heap[0][0][0] <= self.bound:
             key, _, root, forced, forbidden, tree = heapq.heappop(self._heap)
-            if key[1] == -3:
-                self._open(key[0], root)
-                continue
-            if key[1] == -2:
-                lb = self._lower_bound(root, forced, forbidden)
-                if lb > key[0]:
-                    if lb < math.inf:
-                        entry = ((lb, -1), next(self._counter), root, forced, forbidden, None)
-                        heapq.heappush(self._heap, entry)
-                    continue
-            if key[1] < 0:
-                self._solve_child(root, forced, forbidden, tree)
+            if key[1] == -1:
+                if forced is None:
+                    self._open(key[0], root)
+                else:
+                    self._solve_child(root, forced, forbidden, tree)
                 continue
             lb = key[0] - WEIGHT_TIE_TOL
             for rule in self._rules:

@@ -376,6 +376,21 @@ class TestExportDot:
         assert err.startswith("error:")
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["explain", "--obs", "e"], ["recognize", "--cset", "c", "--descr", "p=v"],
+        ["export-dot"],
+    ])
+    def test_bad_byte_is_bad_input(self, run, tmp_path, argv):
+        # The byte lies past the first 8 KiB, so the line count is not
+        # that of a partial read.
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"# pad\n" * 2000 + b"event caf\xe9\n")
+        code, out, err = run(argv[0], p, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: line 2001: byte 0xe9 is not UTF-8\n"
+
+
 class TestInternalError:
     def test_unexpected_exception_exits_four(self, run, fig2_path, monkeypatch):
         # A bare ValueError is a bug too: every bad argument raises

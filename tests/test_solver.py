@@ -1160,6 +1160,49 @@ class TestChildBounds:
                     explain(net, obs, k=3, multi=multi, stats=stats)
         assert stats.dp_runs <= most
 
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("family", ["dense", "isa-rich"])
+    def test_heap_admits_only_entries_within_the_bound(self, monkeypatch, family, multi):
+        # Every entry pushed on the stream's heap has a finite weight no
+        # greater than the bound at that moment, and each rule or exclusion
+        # child is bounded once, when it is made.
+        streams, admitted, made, bounded = [], [], [], []
+
+        class Recording(_CandidateStream):
+            def __init__(self, *args):
+                streams.append(self)
+                super().__init__(*args)
+
+            def _defer(self, lb, root, forced, forbidden, parent=None):
+                if parent is None:
+                    made.append((root, forced, forbidden))
+                super()._defer(lb, root, forced, forbidden, parent)
+
+            def _lower_bound(self, root, forced, forbidden):
+                bounded.append((root, forced, forbidden))
+                return super()._lower_bound(root, forced, forbidden)
+
+        class RecordingHeapq:
+            heappop = staticmethod(heapq.heappop)
+            heapify = staticmethod(heapq.heapify)
+
+            @staticmethod
+            def heappush(heap, entry):
+                stream = streams[-1] if streams else None
+                if heap is getattr(stream, "_heap", None):
+                    admitted.append((entry[0][0], stream.bound))
+                heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(abducer.solver, "_CandidateStream", Recording)
+        monkeypatch.setattr(abducer.solver, "heapq", RecordingHeapq)
+        for seed in range(4):
+            for net, obs in family_queries(family, seed):
+                if obs:
+                    explain(net, obs, k=3, multi=multi)
+        assert all(w < math.inf and w <= bound for w, bound in admitted)
+        assert any(bound < math.inf for _, bound in admitted)
+        assert made and collections.Counter(bounded) == collections.Counter(made)
+
     @pytest.mark.parametrize("kind, sizes", [("cause", [9999]), ("isa", [])])
     def test_a_10000_event_chain_answers_quickly(self, chain_texts, kind, sizes):
         # The causal chain runs one DP, and the tree's own order certifies
