@@ -1,9 +1,10 @@
 """Exhaustive reference implementation for small networks.
 
-The oracle sweeps subsets of the causal links by increasing size, tests
-each (culprit, subset) pair for validity and ranks explanations by weight.
-It is deliberately simple so that the Steiner solver can be checked against
-it; a size guard refuses networks where the sweep would be hopeless.
+The oracle sweeps (culprit, subset) pairs of the causal links by size,
+then culprit, then sorted link tuple, cheap filters first: the ranker
+takes only its culprits and validates only the candidates that cover
+the observations.  It is deliberately simple so that the Steiner solver
+can be checked against it; a size guard refuses hopeless sweeps.
 """
 
 from __future__ import annotations
@@ -16,39 +17,39 @@ from .scenario import (
     Link,
     RankedExplanation,
     Scenario,
+    _weigh,
     check_query,
     is_valid_scenario,
-    log_weight,
     order_and_rank,
     participants,
-    raw_probability,
 )
 
 MAX_ORACLE_LINKS = 25
 
 
+def _candidates(net: CausalNetwork, culprits: tuple[EventId, ...], max_links: int) -> Iterator[Scenario]:
+    """The tree-shaped scenarios rooted at culprits with at most max_links
+    causations, by size, then culprit as given, then sorted link tuple.
+    Prefixes that break the tree shape (an effect caused twice, or the
+    culprit caused) are pruned; no tree of the power-set sweep is lost."""
+    links = tuple(sorted((l.cause, l.effect) for l in net.causal))
+    if len(links) > MAX_ORACLE_LINKS:
+        raise NetworkTooLargeError(f"{len(links)} causal links exceed the sweep guard ({MAX_ORACLE_LINKS})")
+    for size in range(min(max_links, len(links)) + 1):
+        for culprit in culprits:
+            for subset in _tree_subsets(links, size, culprit):
+                yield Scenario(culprit, frozenset(subset))
+
+
 def enumerate_valid_scenarios(net: CausalNetwork, max_links: int) -> Iterator[Scenario]:
     """Yield every valid scenario with at most max_links causations.
 
-    The stream is deterministic: ordered by size, then culprit name, then
-    the sorted link tuple.  Subset prefixes that already break the tree
-    shape (an effect caused twice, or the culprit caused) are pruned; the
-    pruning is monotone, so the stream equals the literal power-set sweep.
+    The stream is deterministic, ordered as ``_candidates`` with every
+    event a culprit in name order, and equals the literal power-set sweep.
     """
-    links = tuple(sorted((l.cause, l.effect) for l in net.causal))
-    if len(links) > MAX_ORACLE_LINKS:
-        raise NetworkTooLargeError(
-            f"{len(links)} causal links exceed the sweep guard ({MAX_ORACLE_LINKS})"
-        )
-    culprits = tuple(n.id for n in net.events)
-    max_links = min(max_links, len(links))
-
-    for size in range(max_links + 1):
-        for culprit in culprits:
-            for subset in _tree_subsets(links, size, culprit):
-                cand = Scenario(culprit, frozenset(subset))
-                if is_valid_scenario(net, cand):
-                    yield cand
+    for cand in _candidates(net, tuple(n.id for n in net.events), max_links):
+        if is_valid_scenario(net, cand):
+            yield cand
 
 
 def _tree_subsets(
@@ -86,15 +87,13 @@ def best_explanations_bruteforce(
 
     Every disorder is a culprit, or with ``multi`` the culprits and the
     network are the solver's (``kb.multi_roots``); with ``culprit`` given,
-    only scenarios rooted there are considered."""
+    only scenarios rooted there are considered.  Coverage is checked
+    before validity."""
     obs = check_query(net, observations, k)
     net, culprits = multi_roots(net) if multi else (net, net.disorders)
-    culprits = frozenset(c for c in culprits if culprit in (None, c))
+    culprits = tuple(c for c in culprits if culprit in (None, c))
     found: list[tuple[Scenario, float, float]] = []
-    for cand in enumerate_valid_scenarios(net, len(net.causal)):
-        if cand.culprit not in culprits:
-            continue
-        if not obs <= participants(net, cand):
-            continue
-        found.append((cand, log_weight(net, cand), raw_probability(net, cand)))
+    for cand in _candidates(net, culprits, len(net.causal)):
+        if obs <= participants(net, cand) and is_valid_scenario(net, cand):
+            found.append((cand, *_weigh(net, cand)))
     return order_and_rank(found)[:k]

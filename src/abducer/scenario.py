@@ -400,19 +400,23 @@ def is_explanation(net: CausalNetwork, s: Scenario, observations: Iterable[Event
     return bool(is_valid_scenario(net, s))
 
 
-def _culprit_prior(net: CausalNetwork, s: Scenario) -> float:
-    prior = net.node(s.culprit).prior
-    if prior is None:
+def _weigh(net: CausalNetwork, s: Scenario) -> tuple[float, float]:
+    """``(log_weight, raw_probability)`` of s from one walk over its sorted
+    links: the prior first, then each link's conditional."""
+    p = net.node(s.culprit).prior
+    if p is None:
         raise MissingPriorError(f"event {s.culprit} has no prior")
-    return prior
+    w = math.log(1.0 / p)
+    for x, y in s.sorted_causations:
+        c = net.cond_prob(x, y)
+        w += math.log(1.0 / c)
+        p *= c
+    return w, p
 
 
 def raw_probability(net: CausalNetwork, s: Scenario) -> float:
     """Culprit prior times the product of link conditionals (no validity check)."""
-    p = _culprit_prior(net, s)
-    for x, y in s.sorted_causations:
-        p *= net.cond_prob(x, y)
-    return p
+    return _weigh(net, s)[1]
 
 
 def probability(net: CausalNetwork, s: Scenario) -> float:
@@ -428,10 +432,7 @@ def log_weight(net: CausalNetwork, s: Scenario) -> float:
 
     Defined for any scenario shape; validity is not required here.
     """
-    w = math.log(1.0 / _culprit_prior(net, s))
-    for x, y in s.sorted_causations:
-        w += math.log(1.0 / net.cond_prob(x, y))
-    return w
+    return _weigh(net, s)[0]
 
 
 WEIGHT_TIE_TOL = 1e-9
@@ -451,17 +452,19 @@ def structure_key(s: Scenario) -> tuple[int, tuple[Link, ...], EventId]:
 
 
 def order_and_rank(weighted: Iterable[tuple[Scenario, float, float]]) -> list[RankedExplanation]:
-    """Sort by weight, breaking ties within ``WEIGHT_TIE_TOL`` by structure_key."""
-    items = sorted(weighted, key=lambda t: (t[1], structure_key(t[0])))
+    """Sort by weight, breaking ties within ``WEIGHT_TIE_TOL`` by structure_key:
+    a tie group is a run of weights each within the tolerance of the one
+    before, and only a group of two or more computes the key."""
     groups: list[list[tuple[Scenario, float, float]]] = []
-    for item in items:
+    for item in sorted(weighted, key=lambda t: t[1]):
         if groups and item[1] - groups[-1][-1][1] <= WEIGHT_TIE_TOL:
             groups[-1].append(item)
         else:
             groups.append([item])
     out: list[RankedExplanation] = []
     for group in groups:
-        group.sort(key=lambda t: structure_key(t[0]))
+        if len(group) > 1:
+            group.sort(key=lambda t: structure_key(t[0]))
         for s, w, p in group:
             out.append(RankedExplanation(len(out) + 1, s, w, p))
     return out

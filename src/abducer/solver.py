@@ -54,12 +54,11 @@ from .scenario import (
     WEIGHT_TIE_TOL,
     RankedExplanation,
     Scenario,
+    _weigh,
     check_query,
     is_valid_scenario,
-    log_weight,
     order_and_rank,
     participants,
-    raw_probability,
     shadow_table,
 )
 
@@ -794,9 +793,7 @@ def explain(
             raise AssertionError(f"{scenario!r} misses an observation")
         order = [e for e in tree.edges if e in scenario.causations]
         if is_valid_scenario(work, scenario, order):
-            found.append(
-                (scenario, log_weight(work, scenario), raw_probability(work, scenario))
-            )
+            found.append((scenario, *_weigh(work, scenario)))
             if len(found) >= k:
                 stream.bound = sorted(t[1] for t in found)[k - 1] + WEIGHT_TIE_TOL
     return order_and_rank(found)[:k]

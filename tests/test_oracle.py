@@ -11,7 +11,9 @@ import math
 import pytest
 from hypothesis import given, settings
 
+import abducer.oracle
 from abducer import (
+    AbducerError,
     NetworkTooLargeError,
     Scenario,
     UnknownEventError,
@@ -21,7 +23,7 @@ from abducer import (
     is_valid_scenario,
     parse_network,
 )
-from abducer.kb import TOP_NAME
+from abducer.kb import TOP_NAME, multi_roots
 from abducer.oracle import MAX_ORACLE_LINKS
 from abducer.scenario import (
     WEIGHT_TIE_TOL,
@@ -32,7 +34,7 @@ from abducer.scenario import (
     structure_key,
 )
 
-from strategies import tiny_networks
+from strategies import FAMILIES, family_queries, tiny_networks
 from synth import two_disorder_network
 
 
@@ -225,3 +227,65 @@ class TestRankContiguity:
         assert [r.rank for r in got] == list(range(1, len(got) + 1))
         ws = [r.log_weight for r in got]
         assert ws == sorted(ws)
+
+
+def enumerate_then_filter(net, obs, k, culprit=None, multi=False):
+    """The ranker's definition, literally: every valid scenario of the
+    network, then the culprit and coverage filters, then the ranking."""
+    net, culprits = multi_roots(net) if multi else (net, net.disorders)
+    found = [
+        (s, log_weight(net, s), raw_probability(net, s))
+        for s in enumerate_valid_scenarios(net, len(net.causal))
+        if s.culprit in culprits and culprit in (None, s.culprit) and obs <= participants(net, s)
+    ]
+    return order_and_rank(found)[:k]
+
+
+def outcome(engine, *args, **kwargs):
+    """An engine's answer, or the type and message of its typed error."""
+    try:
+        return engine(*args, **kwargs)
+    except AbducerError as e:
+        return type(e), str(e)
+
+
+class TestSweepFilters:
+    """The ranker sweeps only its culprits and validates only the
+    candidates that cover the observations; neither shortcut may change
+    an answer."""
+
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_ranker_equals_enumerate_then_filter(self, family, multi):
+        compared = 0
+        for net, obs in family_queries(family, seed=3, count=8):
+            if 14 < len(net.causal) <= MAX_ORACLE_LINKS:
+                continue  # a dense sweep that runs, but for minutes
+            root = TOP_NAME if multi else next(iter(net.disorders), None)
+            for culprit in (None, root):
+                for k in (1, 3, 10):
+                    want = outcome(enumerate_then_filter, net, obs, k, culprit, multi)
+                    got = outcome(best_explanations_bruteforce, net, obs, k, culprit, multi)
+                    assert got == want, (family, multi, sorted(obs), culprit, k)
+                    compared += isinstance(want, list) and bool(want)
+        assert compared > 0
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_only_covering_candidates_of_the_culprits_are_validated(self, monkeypatch, multi):
+        validated = []
+
+        def recorded(net, s, *args):
+            validated.append((net, s))
+            return is_valid_scenario(net, s, *args)
+
+        monkeypatch.setattr(abducer.oracle, "is_valid_scenario", recorded)
+        total = 0
+        for net, obs in family_queries("isa-rich", seed=0, count=10):
+            culprits = multi_roots(net)[1] if multi else net.disorders
+            validated.clear()
+            best_explanations_bruteforce(net, obs, 3, multi=multi)
+            for work, s in validated:
+                assert s.culprit in culprits and obs <= participants(work, s), s
+            assert len({s for _, s in validated}) == len(validated)
+            total += len(validated)
+        assert total > 0

@@ -8,7 +8,9 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import abducer.scenario
 from abducer import (
     InvalidScenarioError,
     MissingPriorError,
@@ -26,10 +28,18 @@ from abducer import (
     probability,
 )
 from abducer.kb import TOP_NAME, multi_roots
-from abducer.scenario import preempting_alternative, raw_probability
+from abducer.scenario import (
+    WEIGHT_TIE_TOL,
+    RankedExplanation,
+    _weigh,
+    order_and_rank,
+    preempting_alternative,
+    raw_probability,
+    structure_key,
+)
 from abducer.solver import _CandidateStream, tree_to_scenario
 
-from strategies import FAMILIES, family_queries, seeds, tiny_networks
+from strategies import FAMILIES, family_queries, networks, seeds, tiny_networks
 from synth import random_network
 import reference_preemption as reference
 
@@ -328,6 +338,125 @@ class TestProbability:
             assert math.exp(-w) == pytest.approx(p, rel=1e-12)
             seen += 1
         assert seen > 0
+
+
+def two_walk_weights(net, s):
+    """log_weight and raw_probability as two separate walks, each the
+    prior first and then the sorted links: what ``_weigh`` must equal."""
+    prior = net.node(s.culprit).prior
+    if prior is None:
+        raise MissingPriorError(f"event {s.culprit} has no prior")
+    w = math.log(1.0 / prior)
+    for x, y in s.sorted_causations:
+        w += math.log(1.0 / net.cond_prob(x, y))
+    p = prior
+    for x, y in s.sorted_causations:
+        p *= net.cond_prob(x, y)
+    return w, p
+
+
+def two_key_rank(weighted):
+    """Ranking by one sort on (weight, structure_key), then each tie group
+    re-sorted by structure_key."""
+    items = sorted(weighted, key=lambda t: (t[1], structure_key(t[0])))
+    groups = []
+    for item in items:
+        if groups and item[1] - groups[-1][-1][1] <= WEIGHT_TIE_TOL:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    out = []
+    for group in groups:
+        group.sort(key=lambda t: structure_key(t[0]))
+        for s, w, p in group:
+            out.append(RankedExplanation(len(out) + 1, s, w, p))
+    return out
+
+
+RANK_POOL = (
+    scen("a"),
+    scen("b"),
+    scen("a", ("a", "x")),
+    scen("b", ("b", "x")),
+    scen("a", ("a", "x"), ("x", "y")),
+    scen("c", ("c", "y")),
+)
+
+# Weights on a grid of a quarter tolerance: exact ties, ties at half the
+# tolerance, and chains of near-ties that span more than the tolerance.
+ranked_inputs = st.lists(
+    st.tuples(
+        st.integers(0, len(RANK_POOL) - 1),
+        st.sampled_from([1.0, 2.0, 1e6]),
+        st.integers(0, 12),
+    ),
+    max_size=14,
+)
+
+
+class TestScoring:
+    @settings(max_examples=40, deadline=None)
+    @given(networks(), seeds)
+    def test_one_walk_equals_the_two_walks_bit_for_bit(self, net, seed):
+        rng = random.Random(seed)
+        links = [(l.cause, l.effect) for l in net.causal]
+        weighed = 0
+        for e in net.events:
+            for _ in range(4):
+                s = Scenario.make(e.id, rng.sample(links, rng.randint(0, len(links))))
+                if e.prior is None:
+                    with pytest.raises(MissingPriorError):
+                        _weigh(net, s)
+                    continue
+                got, want = _weigh(net, s), two_walk_weights(net, s)
+                assert [v.hex() for v in got] == [v.hex() for v in want], s
+                assert (log_weight(net, s), raw_probability(net, s)) == got
+                weighed += 1
+        assert weighed > 0
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            scen("a"),
+            scen("a", ("zz", "e")),
+            scen("d", ("d", "zz")),
+            scen("d", ("b", "e"), ("zz", "g")),
+            scen("zz", ("d", "g")),
+        ],
+    )
+    def test_one_walk_raises_where_log_weight_raises(self, fig2, s):
+        with pytest.raises((MissingPriorError, UnknownLinkError, UnknownEventError)) as want:
+            two_walk_weights(fig2, s)
+        for weigh in (_weigh, log_weight, raw_probability):
+            with pytest.raises(want.type) as got:
+                weigh(fig2, s)
+            assert str(got.value) == str(want.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_inputs)
+    def test_order_and_rank_equals_the_two_key_sort(self, picks):
+        # The probability field tags each item, so the order of equal
+        # (scenario, weight) duplicates is checked too.
+        weighted = [
+            (RANK_POOL[i], base + m * (WEIGHT_TIE_TOL / 4), float(tag))
+            for tag, (i, base, m) in enumerate(picks)
+        ]
+        assert order_and_rank(weighted) == two_key_rank(weighted)
+
+    def test_structure_key_runs_only_inside_tie_groups(self, monkeypatch):
+        keyed = []
+
+        def counted(s):
+            keyed.append(s)
+            return structure_key(s)
+
+        monkeypatch.setattr(abducer.scenario, "structure_key", counted)
+        a, b, ax, bx = RANK_POOL[:4]
+        half = WEIGHT_TIE_TOL / 2
+        weighted = [(bx, 3.0, 0.1), (a, 1.0, 0.2), (ax, 2.0 + half, 0.3), (b, 2.0, 0.4)]
+        ranked = order_and_rank(weighted)
+        assert [r.scenario for r in ranked] == [a, b, ax, bx]
+        assert sorted(map(repr, keyed)) == sorted(map(repr, [b, ax]))
 
 
 class TestOrderIndependence:

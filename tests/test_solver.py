@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abducer.oracle
 import abducer.scenario
 import abducer.solver
 from abducer import (
@@ -32,7 +33,7 @@ from abducer import (
     tree_to_scenario,
 )
 from abducer.kb import TOP_NAME, multi_roots
-from abducer.scenario import WEIGHT_TIE_TOL, log_weight, participants
+from abducer.scenario import WEIGHT_TIE_TOL, _weigh, log_weight, participants
 from abducer.solver import _build_problem, _canonicalize, _CandidateStream
 
 from strategies import FAMILIES, family_queries, networks_with_observations, tiny_networks
@@ -1370,6 +1371,35 @@ class TestTraceSeam:
         got = explain(fig2, ["g"], k=10)
         assert all(calls.values()), calls
         assert calls["tree_to_scenario"] >= calls["is_valid_scenario"] >= accepted >= len(got) > 0
+
+
+class TestScoredOnce:
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("engine", [explain, best_explanations_bruteforce])
+    def test_each_accepted_scenario_is_weighed_once(self, monkeypatch, engine, multi):
+        module = abducer.solver if engine is explain else abducer.oracle
+        accepted, weighed = [], []
+
+        def recorded_check(net, s, *args):
+            verdict = is_valid_scenario(net, s, *args)
+            if verdict:
+                accepted.append(s)
+            return verdict
+
+        def recorded_weigh(net, s):
+            weighed.append(s)
+            return _weigh(net, s)
+
+        def walked_twice(net, s):
+            raise AssertionError("an engine scores through _weigh alone")
+
+        monkeypatch.setattr(module, "is_valid_scenario", recorded_check)
+        monkeypatch.setattr(module, "_weigh", recorded_weigh)
+        monkeypatch.setattr(abducer.scenario, "log_weight", walked_twice)
+        monkeypatch.setattr(abducer.scenario, "raw_probability", walked_twice)
+        for net, obs in family_queries("isa-rich", seed=1, count=10):
+            engine(net, obs, 3, multi=multi)
+        assert weighed == accepted and accepted
 
 
 # Two disorders, e0 isa e1 isa e2.  At e0, e0->e4 and e0->e5 shadow the
