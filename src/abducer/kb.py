@@ -57,6 +57,7 @@ class CausalNetwork:
         "_links_by_cause",
         "_links_by_effect",
         "_parents",
+        "_generals",
         "_successors",
         "_isa_star",
     )
@@ -121,6 +122,7 @@ class CausalNetwork:
         self._links_by_cause = {x: tuple(ys) for x, ys in effects.items()}
         self._links_by_effect = {y: tuple(xs) for y, xs in causes.items()}
         self._parents = {e: tuple(parents.get(e, ())) for e in nodes}
+        self._generals = frozenset(p for _, p in isa)
 
         # One search over the union, which holds every isa cycle too; the
         # isa cycle takes precedence, so only then is the isa relation
@@ -178,6 +180,10 @@ class CausalNetwork:
 
     def parents_of(self, e: EventId) -> tuple[EventId, ...]:
         return self._parents.get(e, ())
+
+    def has_specializations(self, e: EventId) -> bool:
+        """Whether some event has an isa link to e."""
+        return e in self._generals
 
     def successors(self, e: EventId) -> tuple[EventId, ...]:
         """e's effects and isa parents, sorted: its out-edges' heads."""

@@ -34,7 +34,8 @@ attach point ``p`` (vacuously, if ``x`` has none) some ``u`` with
 ``p isa* u isa+ x`` has a link ``u -> y``, and no ``u'`` with
 ``p isa* u' isa+ u`` has a link ``u' -> y`` or ``u' -> u``.
 ``shadow_table`` lists these links for every ``x`` with an attach point,
-from one pass up each attach point's climb (``covered_below``).
+from one pass up the climb of each attach point that adds to what its
+isa parent's pass finds (``covered_below``).
 
 No valid scenario rooted at ``r`` holds a shadowed ``x -> y`` in which ``x``
 is never a maximally specific participant.  Every participant descends
@@ -225,14 +226,34 @@ def shadow_table(
     isa parent has one ``covered_below`` pass, whose entries narrow the
     table's.  ``passes`` maps p to its pass; a pass depends on p alone, so
     the tables of one network can share it, and missing passes are added.
+
+    One case needs no pass: p has a single isa parent q, q is an attach
+    point with an isa parent, and no link from p enters q's climb.  Then
+    every y that q's pass finds clear at an x above q stays clear at p:
+    its witness u is not caused by p, and if p links to y, p is itself a
+    witness.  So p narrows only the entry at q, to the targets of p's own
+    links, which are always clear.  Along an isa chain this leaves one
+    pass where there was one per level.
     """
+    climb = net.isa_star(root)
     ys_of: dict[EventId, set[EventId]] = {}
-    for p in (root, *(reach - net.isa_star(root))):
-        if net.parents_of(p):
-            if p not in passes:
-                passes[p] = covered_below(net, p)
-            for x, ys in passes[p].items():
-                ys_of[x] = ys.intersection(ys_of.get(x, net.effects_of(x)))
+    for p in (root, *(reach - climb)):
+        ups = net.parents_of(p)
+        if not ups:
+            continue
+        if len(ups) == 1:
+            q = ups[0]
+            if (
+                (q == root or q not in climb)
+                and net.parents_of(q)
+                and not any(net.has_specializations(w) and w in net.isa_star(q) for w in net.effects_of(p))
+            ):
+                ys_of[q] = set(net.effects_of(p)).intersection(ys_of.get(q, net.effects_of(q)))
+                continue
+        if p not in passes:
+            passes[p] = covered_below(net, p)
+        for x, ys in passes[p].items():
+            ys_of[x] = ys.intersection(ys_of.get(x, net.effects_of(x)))
     return {x: frozenset((x, y) for y in ys) for x, ys in ys_of.items()}
 
 
